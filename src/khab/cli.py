@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from .constants import compute_constants
 from .conversion import PiecewisePolynomial, direct_convert, inverse_convert
 from .counterexample import (
+    _R3,
     T0,
     CounterexampleSpec,
     build_g,
@@ -31,11 +31,14 @@ from .counterexample import (
     build_q,
     verify,
 )
-from .poly import Polynomial
 from .quad import QuadratureError
-from .transition import Params, build_transition, sign_partition, transition_eval
-
-_R3 = Polynomial((-2.0, 16.0, -34.0, 21.0))
+from .transition import (
+    Params,
+    _log_weight,
+    build_transition,
+    sign_partition,
+    transition_eval,
+)
 
 _PLOT_DEFAULTS = {
     "R3": (0.0, 1.0),
@@ -273,10 +276,7 @@ def _cmd_identity(args) -> int:
             y,
             args.tol,
         )
-        if y >= 1.0:
-            target = math.log1p(y**-two_alpha)
-        else:
-            target = -two_alpha * math.log(y) + math.log1p(y**two_alpha)
+        target = _log_weight(y, two_alpha)
         rows.append((y, res.value, target, res.value - target))
     if args.format == "json":
         _emit_json({

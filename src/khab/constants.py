@@ -90,7 +90,7 @@ def compute_constants(params: Params, tol: float = 1e-9) -> ConstantsReport:
         if math.isinf(hi):
             res = integrate_halfline(f, lo, tol)
         else:
-            res = integrate(f, lo, hi, tol) if lo > 0.0 else integrate(f, 0.0, hi, tol)
+            res = integrate(f, lo, hi, tol)
         if sign > 0:
             c_upper += res.value
             c_err += res.abs_error_estimate

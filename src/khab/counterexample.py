@@ -20,6 +20,10 @@ the conclusion integral evaluates to
 
 so every eps in (0, 1] violates the conjectured bound while staying below
 the computed correction constant C(2, 2).
+
+:func:`verify` cross-checks the conclusion integral of :func:`lhs_integral`
+against the split route, the half-line total of :func:`compute_constants`
+plus delta_I, computing each integral once.
 """
 
 from __future__ import annotations
@@ -28,11 +32,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .constants import closed_form_total, compute_constants
+from .constants import ConstantsError, closed_form_total, compute_constants
 from .conversion import PiecewisePolynomial, direct_convert, inverse_convert
-from .poly import Polynomial, positive_roots
-from .quad import QuadResult, integrate, integrate_halfline
-from .transition import Params, transition_eval, transition_for
+from .poly import Polynomial, RootCertificationError, positive_roots
+from .quad import QuadratureError, QuadResult, integrate, integrate_halfline
+from .transition import (
+    Params,
+    TemplateMatchError,
+    _log_weight,
+    transition_eval,
+    transition_for,
+)
 
 T0 = 0.6**0.25  # positive root of 5 t^4 - 3
 
@@ -42,6 +52,17 @@ _R = _R3.shift_up(1)  # R(tau) = R3(tau) * tau
 
 class GluingError(RuntimeError):
     """The spline profile failed its derivative-matching conditions."""
+
+
+# failures of a stage that verify records instead of raising
+_STAGE_ERRORS = (
+    QuadratureError,
+    RootCertificationError,
+    ConstantsError,
+    TemplateMatchError,
+    GluingError,
+    ValueError,
+)
 
 
 @dataclass(frozen=True)
@@ -203,49 +224,19 @@ def delta_I(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
     )
 
 
-def _log_weight(t: float, two_alpha: float) -> float:
-    """ln(1 + t^(-2*alpha)) without overflow for tiny t."""
-    if t >= 1.0:
-        return math.log1p(t**-two_alpha)
-    return -two_alpha * math.log(t) + math.log1p(t**two_alpha)
+def lhs_integral(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
+    """Conclusion integral of q against the log weight, by adaptive
+    half-line quadrature of q(t) ln(1 + t^(-2a)).
 
-
-@dataclass(frozen=True)
-class LhsReport:
-    """The conclusion integral computed two ways."""
-
-    direct: QuadResult
-    split: QuadResult
-    difference: float
-
-
-def lhs_integral(spec: CounterexampleSpec, tol: float = 1e-9) -> LhsReport:
-    """Conclusion integral of q against the log weight, two routes.
-
-    Direct: adaptive half-line quadrature of q(t) ln(1 + t^(-2a)).
-    Split: numeric total of Phi_1 t^2 over (0, inf) plus delta_I, using the
-    identity that ties the conclusion integral to the transition function.
+    :func:`verify` cross-checks it against the split route.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     q = build_q(spec)
     two_alpha = 2.0 * spec.params.alpha
-
-    direct = integrate_halfline(
+    return integrate_halfline(
         lambda t: q(t) * _log_weight(t, two_alpha), 0.0, tol
     )
-
-    tf = transition_for(spec.params)
-    total = integrate_halfline(
-        lambda t: transition_eval(tf, t) * t**spec.params.alpha, 0.0, tol
-    )
-    excess = delta_I(spec, tol)
-    split = QuadResult(
-        total.value + excess.value,
-        total.abs_error_estimate + excess.abs_error_estimate,
-        total.subdivisions + excess.subdivisions,
-    )
-    return LhsReport(direct, split, direct.value - split.value)
 
 
 @dataclass(frozen=True)
@@ -300,7 +291,13 @@ class VerificationReport:
 
 
 def verify(spec: CounterexampleSpec, tol: float = 1e-9) -> VerificationReport:
-    """Assemble the full report; stage failures are recorded, not thrown."""
+    """Assemble the full report, computing each integral once.
+
+    ``lhs_cross_difference`` is :func:`lhs_integral` minus the split route,
+    the half-line total of :func:`compute_constants` plus :func:`delta_I`.
+    A stage's domain errors are recorded in ``failures``; any other
+    exception propagates.
+    """
     failures: list[str] = []
 
     premise_ok = False
@@ -311,22 +308,13 @@ def verify(spec: CounterexampleSpec, tol: float = 1e-9) -> VerificationReport:
         worst_margin = premise.worst_margin
         if not premise.ok:
             failures.append("premise inequality violated on the check grid")
-    except Exception as exc:  # noqa: BLE001 - embedded by contract
+    except _STAGE_ERRORS as exc:
         failures.append(f"premise check failed: {exc}")
 
     lhs = QuadResult(math.nan, math.inf, 1)
-    cross = math.nan
     try:
-        report = lhs_integral(spec, tol)
-        lhs = report.direct
-        cross = report.difference
-        if abs(cross) > 10.0 * (
-            report.direct.abs_error_estimate + report.split.abs_error_estimate
-        ) + 1e-12 * abs(lhs.value):
-            failures.append(
-                f"conclusion-integral routes disagree by {cross:.3e}"
-            )
-    except Exception as exc:  # noqa: BLE001
+        lhs = lhs_integral(spec, tol)
+    except _STAGE_ERRORS as exc:
         failures.append(f"conclusion integral failed: {exc}")
 
     excess = QuadResult(math.nan, math.inf, 1)
@@ -334,23 +322,35 @@ def verify(spec: CounterexampleSpec, tol: float = 1e-9) -> VerificationReport:
         excess = delta_I(spec, tol)
         if spec.epsilon > 0 and not excess.value > 0:
             failures.append("delta_I is not positive")
-    except Exception as exc:  # noqa: BLE001
+    except _STAGE_ERRORS as exc:
         failures.append(f"delta_I failed: {exc}")
 
     rhs = closed_form_total(spec.params)
 
+    cross = math.nan
     c_upper = math.nan
     bound_ok = False
     try:
         consts = compute_constants(spec.params, tol)
+    except _STAGE_ERRORS as exc:
+        failures.append(f"constants computation failed: {exc}")
+    else:
+        total = consts.total_integral
+        cross = lhs.value - (total.value + excess.value)
+        if abs(cross) > 10.0 * (
+            lhs.abs_error_estimate
+            + total.abs_error_estimate
+            + excess.abs_error_estimate
+        ) + 1e-12 * abs(lhs.value):
+            failures.append(
+                f"conclusion-integral routes disagree by {cross:.3e}"
+            )
         c_upper = consts.c_upper
         bound_ok = lhs.value <= c_upper + (
             lhs.abs_error_estimate + consts.c_upper_error
         )
         if not bound_ok:
             failures.append("conclusion integral exceeds C(n, alpha)")
-    except Exception as exc:  # noqa: BLE001
-        failures.append(f"constants computation failed: {exc}")
 
     return VerificationReport(
         spec=spec,

@@ -91,16 +91,6 @@ class Polynomial:
         return acc
 
 
-def eval_poly(p: Polynomial, x: float) -> float:
-    """Horner evaluation of ``p`` at ``x``."""
-    return p(x)
-
-
-def derivative(p: Polynomial) -> Polynomial:
-    """Formal derivative of ``p``."""
-    return p.derivative()
-
-
 # --- positive-root isolation -------------------------------------------------
 
 # scan grid density per the accuracy needs here: the polynomials that matter
@@ -178,16 +168,6 @@ def _sign_count_zero_plus(chain: list[list[Fraction]]) -> int:
 def _sign_count_inf(chain: list[list[Fraction]]) -> int:
     vals = [1 if c[-1] > 0 else -1 if c[-1] < 0 else 0 for c in chain]
     return _sign_changes(vals)
-
-
-def _count_positive_roots_exact(p: Polynomial) -> int:
-    """Distinct roots of p in (0, inf) by an exact Sturm-sequence count.
-
-    Float coefficients convert to rationals exactly, so the count is
-    rigorous for the polynomial as stored.  Requires p(0) != 0.
-    """
-    chain = _sturm_chain(_fraction_coeffs(p))
-    return _sign_count_zero_plus(chain) - _sign_count_inf(chain)
 
 
 def _bisect_root(p: Polynomial, lo: float, hi: float, tol: float) -> float:

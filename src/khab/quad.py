@@ -140,7 +140,6 @@ def integrate(
 
     def totals() -> QuadResult:
         panels = [(pa, pb, pv, pe) for (_, _, pa, pb, pv, pe) in heap] + frozen
-        panels.sort()
         return QuadResult(
             math.fsum(p[2] for p in panels),
             math.fsum(p[3] for p in panels),

@@ -88,6 +88,13 @@ class SignPartition:
         ]
 
 
+def _log_weight(t: float, two_alpha: float) -> float:
+    """phi(t) = ln(1 + t^(-2*alpha)) without overflow for tiny t."""
+    if t >= 1.0:
+        return math.log1p(t**-two_alpha)
+    return -two_alpha * math.log(t) + math.log1p(t**two_alpha)
+
+
 def phi_derivative_poly(m: int, alpha: float) -> Polynomial:
     """Q_m such that d^m phi/dt^m = t^(-m) Q_m(z) / (1+z)^m."""
     if not isinstance(m, int) or m < 1:

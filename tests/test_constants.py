@@ -90,7 +90,7 @@ class TestCrossModuleBound:
         # the replacement bound must hold for the admissible test function
         rep = compute_constants(Params(2, 2.0), 1e-9)
         lhs = lhs_integral(CounterexampleSpec(1.0), 1e-9)
-        assert lhs.direct.value <= rep.c_upper
+        assert lhs.value <= rep.c_upper
 
 
 class TestTailDecay:

@@ -154,6 +154,7 @@ class TestRoundTrip:
         q = global_poly(Polynomial((0.0, 12.0)))
         report = roundtrip_check(q, 2, [0.5, 1.0, 2.0], 1e-10)
         assert report.max_deviation <= 1e-8
+        assert report.ok
         for t, exact in zip(report.points, report.exact_values):
             assert exact == pytest.approx(t * t, rel=1e-12)
 
@@ -164,9 +165,20 @@ class TestRoundTrip:
         grid = [T0 * (0.2 + 0.1 * i) for i in range(16)]
         report = roundtrip_check(q, 2, grid, 1e-9)
         assert report.max_deviation <= 1e-7
+        assert report.ok
         # and the exact route reproduces the spline profile itself
         for t, exact in zip(report.points, report.exact_values):
             assert exact == pytest.approx(g(t), abs=1e-12)
+
+    def test_kink_miss_is_not_ok(self):
+        # at this premise grid point (t ~ 757.5) the quadrature route
+        # converges falsely past q's kink at t0, missing the exact value by
+        # 0.514 with its error estimate near 4.6e-4
+        q = build_q(CounterexampleSpec(0.145))
+        t = 10.0 ** (-3.0 + 6.0 * 195 / 199.0)
+        report = roundtrip_check(q, 2, [t], 1e-9 * t**2)
+        assert report.max_deviation > 0.1
+        assert not report.ok
 
     def test_empty_grid_trivially_passes(self):
         report = roundtrip_check(global_poly(Polynomial((0.0, 12.0))), 2, [], 1e-9)

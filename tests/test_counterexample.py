@@ -189,15 +189,18 @@ class TestDeltaI:
 
 class TestLhs:
     def test_both_routes_agree(self):
+        # verify cross-checks the direct route against the split route,
+        # the half-line total of Phi_1 t^2 plus delta_I
         tol = 1e-9
-        rep = lhs_integral(CounterexampleSpec(1.0), tol)
-        assert abs(rep.difference) <= 10 * tol
-        assert rep.direct.value == pytest.approx(LHS_1, abs=1e-7)
-        assert rep.split.value == pytest.approx(SIX_PI + DELTA_I_1, abs=1e-8)
+        rep = verify(CounterexampleSpec(1.0), tol)
+        split = rep.lhs_integral.value - rep.lhs_cross_difference
+        assert abs(rep.lhs_cross_difference) <= 10 * tol
+        assert rep.lhs_integral.value == pytest.approx(LHS_1, abs=1e-7)
+        assert split == pytest.approx(SIX_PI + DELTA_I_1, abs=1e-8)
 
     def test_zero_deformation_gives_closed_form_total(self):
         rep = lhs_integral(CounterexampleSpec(0.0), 1e-9)
-        assert rep.direct.value == pytest.approx(SIX_PI, abs=1e-8)
+        assert rep.value == pytest.approx(SIX_PI, abs=1e-8)
 
 
 class TestVerify:
@@ -230,6 +233,58 @@ class TestVerify:
         rep = verify(CounterexampleSpec(0.5), 1e-9)
         assert rep.violation_margin == pytest.approx(0.00649722, abs=1e-6)
         assert rep.violated
+
+    def test_each_integral_computed_once(self, monkeypatch):
+        import khab.constants as constants
+        import khab.counterexample as ce
+
+        calls = {}
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (ce, constants):
+            counting(module, "integrate_halfline")
+        counting(ce, "delta_I")
+        counting(ce, "compute_constants")
+        rep = verify(CounterexampleSpec(1.0))
+        assert rep.failures == ()
+        # one direct conclusion integral, and compute_constants' last sign
+        # interval and half-line total
+        assert calls == {
+            "delta_I": 1,
+            "compute_constants": 1,
+            "integrate_halfline": 3,
+        }
+
+    def test_program_error_propagates(self, monkeypatch):
+        import khab.counterexample as ce
+
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(ce, "delta_I", broken)
+        with pytest.raises(ZeroDivisionError):
+            verify(CounterexampleSpec(1.0))
+
+    def test_domain_error_is_recorded(self, monkeypatch):
+        import khab.counterexample as ce
+        from khab.quad import QuadResult, QuadratureError
+
+        def exhausted(*args, **kwargs):
+            raise QuadratureError("budget", QuadResult(0.0, 1.0, 3))
+
+        monkeypatch.setattr(ce, "delta_I", exhausted)
+        rep = verify(CounterexampleSpec(1.0))
+        assert rep.failures == ("delta_I failed: budget",)
+        assert math.isnan(rep.delta_I.value)
+        assert math.isnan(rep.lhs_cross_difference)
 
     def test_json_fields(self):
         data = verify(CounterexampleSpec(1.0), 1e-8).to_dict()
