@@ -10,7 +10,8 @@ piecewise polynomials as JSON), and ``plotdata`` (CSV curves).
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Numeric text
 output prints 10 significant digits; JSON floats round-trip bit-exactly.
 The default tolerance is 1e-9, overridable by the KHAB_TOL environment
-variable and per-run by ``--tol``.
+variable and per-run by ``--tol``; ``convert`` and ``plotdata`` compute in
+closed form and ignore it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import os
 import sys
 
 from .constants import compute_constants
-from .conversion import PiecewisePolynomial, direct_convert, inverse_convert
+from .conversion import PiecewisePolynomial, exact_direct_convert, inverse_convert
 from .counterexample import (
     _R3,
     T0,
@@ -306,8 +307,7 @@ def _cmd_convert(args) -> int:
         q = inverse_convert(pw, args.n)
         print(json.dumps(q.to_dict(), indent=2))
         return 0
-    params = Params(args.n, 1.0)
-    rows = [(t, direct_convert(pw, params, t, args.tol)) for t in args.t]
+    rows = [(t, exact_direct_convert(pw, args.n, t)) for t in args.t]
     if args.format == "json":
         _emit_json({"values": [{"t": t, "g": g} for t, g in rows]})
     else:

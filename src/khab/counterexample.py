@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .constants import ConstantsError, closed_form_total, compute_constants
-from .conversion import PiecewisePolynomial, direct_convert, inverse_convert
+from .conversion import PiecewisePolynomial, exact_direct_convert, inverse_convert
 from .poly import Polynomial, RootCertificationError, positive_roots
 from .quad import QuadratureError, QuadResult, integrate, integrate_halfline
 from .transition import (
@@ -160,7 +160,7 @@ def default_premise_grid(t0: float = T0) -> list[float]:
 
 @dataclass(frozen=True)
 class PremiseReport:
-    """Dual premise check: exact profile bounds plus quadrature margins."""
+    """Dual premise check: bounds on the profile and on its reconversion."""
 
     ok: bool
     worst_margin: float
@@ -169,36 +169,31 @@ class PremiseReport:
     grid_size: int
 
 
-def check_premise(
-    spec: CounterexampleSpec,
-    grid: Sequence[float] | None = None,
-    tol: float = 1e-9,
-) -> PremiseReport:
-    """Check the premise inequality along a grid of t values.
+def _premise_holds(t: float, value: float) -> bool:
+    """0 <= value <= t^2 up to a rounding slack of 1e-12 * max(1, t^2)."""
+    slack = 1e-12 * max(1.0, t * t)
+    return -slack <= value <= t * t + slack
 
-    Analytic route: 0 <= g(t) <= t^2 from the profile polynomials.
-    Numeric route: the direct conversion of q at t, divided by t, must not
-    exceed t^(alpha-1) = t beyond quadrature tolerance.  The numeric route
-    exists because the equivalence behind the analytic one is exactly the
-    claim under test, not an axiom.
+
+def check_premise(
+    spec: CounterexampleSpec, grid: Sequence[float] | None = None
+) -> PremiseReport:
+    """Check the premise 0 <= g(t) <= t^2 along a grid of t values.
+
+    Analytic route: g from the profile polynomials.  Numeric route: the same
+    bound on G, the closed-form direct conversion of q = inverse_convert(g).
+    G = g is exactly the claim under test, not an axiom, and the closed
+    form shares no step with :func:`inverse_convert`, so it can refute it.
+    ``worst_margin`` is the least t - G(t)/t.
     """
     if grid is None:
         grid = default_premise_grid(spec.t0)
     g = build_g(spec)
     q = build_q(spec)
-    analytic_ok = True
-    numeric_ok = True
-    worst = math.inf
-    for t in grid:
-        gv = g(t)
-        slack = 1e-12 * max(1.0, t * t)
-        if gv > t * t + slack or gv < -slack:
-            analytic_ok = False
-        gq = direct_convert(q, spec.params, t, tol * max(1.0, t * t))
-        margin = t - gq / t
-        worst = min(worst, margin)
-        if margin < -(20.0 * tol * max(1.0, t)):
-            numeric_ok = False
+    converted = [exact_direct_convert(q, spec.params.n, t) for t in grid]
+    analytic_ok = all(_premise_holds(t, g(t)) for t in grid)
+    numeric_ok = all(map(_premise_holds, grid, converted))
+    worst = min((t - v / t for t, v in zip(grid, converted)), default=math.inf)
     ok = analytic_ok and numeric_ok
     return PremiseReport(ok, worst, analytic_ok, numeric_ok, len(grid))
 
@@ -303,7 +298,7 @@ def verify(spec: CounterexampleSpec, tol: float = 1e-9) -> VerificationReport:
     premise_ok = False
     worst_margin = math.nan
     try:
-        premise = check_premise(spec, tol=tol)
+        premise = check_premise(spec)
         premise_ok = premise.ok
         worst_margin = premise.worst_margin
         if not premise.ok:

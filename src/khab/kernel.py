@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .quad import QuadResult, integrate
 
@@ -27,6 +28,12 @@ class KernelSpec:
         if not isinstance(self.n, int) or self.n < 0:
             raise ValueError("kernel order n must be a nonnegative integer")
 
+    @cached_property
+    def gammas(self) -> tuple[float, ...]:
+        """C(n,k) (-1)^k / k for k = 1..n."""
+        n = self.n
+        return tuple(math.comb(n, k) * (-1.0) ** k / k for k in range(1, n + 1))
+
 
 def kernel_eval(spec: KernelSpec, x: float) -> float:
     """Closed-form A_n(x) for 0 < x <= 1."""
@@ -35,8 +42,8 @@ def kernel_eval(spec: KernelSpec, x: float) -> float:
     if x > 1.0:
         raise ValueError("kernel_eval requires x <= 1")
     acc = -math.log(x)
-    for k in range(1, spec.n + 1):
-        acc += math.comb(spec.n, k) * (-1.0) ** k * (1.0 - x**k) / k
+    for k, gamma in enumerate(spec.gammas, 1):
+        acc += gamma * (1.0 - x**k)
     return acc
 
 

@@ -7,6 +7,7 @@ roots that show up downstream are validated numerically, never symbolically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -170,18 +171,24 @@ def _sign_count_inf(chain: list[list[Fraction]]) -> int:
     return _sign_changes(vals)
 
 
-def _bisect_root(p: Polynomial, lo: float, hi: float, tol: float) -> float:
-    flo = p(lo)
+def _bisect(lo: float, hi: float, tol: float, in_left) -> tuple[float, float]:
+    """Narrow the bracket (lo, hi] of one root to width tol / 4 or one ulp.
+    ``in_left(mid)``: does the root lie in (lo, mid]?  It may compare with
+    the sign or Sturm count at the starting lo; moving lo keeps both."""
     while hi - lo > 0.25 * tol:
         mid = 0.5 * (lo + hi)
-        fmid = p(mid)
-        if fmid == 0.0:
-            lo = hi = mid
+        if not lo < mid < hi:
             break
-        if (flo < 0) == (fmid < 0):
-            lo, flo = mid, fmid
-        else:
+        if in_left(mid):
             hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _bisect_root(p: Polynomial, lo: float, hi: float, tol: float) -> float:
+    sign_lo = math.copysign(1.0, p(lo))
+    lo, hi = _bisect(lo, hi, tol, lambda x: p(x) * sign_lo <= 0.0)
     root = 0.5 * (lo + hi)
     # Newton polish, clamped to the certified bracket
     dp = p.derivative()
@@ -194,21 +201,6 @@ def _bisect_root(p: Polynomial, lo: float, hi: float, tol: float) -> float:
         if lo <= cand <= hi:
             root = cand
     return root
-
-
-def _sturm_bisect(
-    chain: list[list[Fraction]], lo: float, hi: float, tol: float
-) -> float:
-    """Locate the single root certified inside (lo, hi] by count bisection."""
-    v_lo = _sign_count_at(chain, Fraction(lo))
-    while hi - lo > 0.25 * tol:
-        mid = 0.5 * (lo + hi)
-        v_mid = _sign_count_at(chain, Fraction(mid))
-        if v_lo - v_mid >= 1:
-            hi = mid
-        else:
-            lo, v_lo = mid, v_mid
-    return 0.5 * (lo + hi)
 
 
 def _isolate_by_counts(
@@ -238,7 +230,11 @@ def _isolate_by_counts(
             if flo != 0.0 and fhi != 0.0 and (flo < 0) != (fhi < 0):
                 roots.append(_bisect_root(q, lo, hi, tol))
             else:
-                roots.append(_sturm_bisect(chain, lo, hi, tol))
+                v_lo = _sign_count_at(chain, Fraction(lo))
+                lo, hi = _bisect(
+                    lo, hi, tol, lambda x: _sign_count_at(chain, Fraction(x)) < v_lo
+                )
+                roots.append(0.5 * (lo + hi))
             continue
         if hi - lo <= tol:
             raise RootCertificationError(

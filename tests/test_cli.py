@@ -84,6 +84,11 @@ class TestCounterexampleCommand:
         assert parsed["violation_margin"] == report.violation_margin
         assert parsed["rhs_conjecture"] == report.rhs_conjecture
 
+    def test_kink_crossing_eps_exits_zero(self, capsys):
+        code, out, _ = run(capsys, ["counterexample", "--epsilon", "0.145"])
+        assert code == 0
+        assert "premise holds: True" in out
+
     def test_epsilon_out_of_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["counterexample", "--epsilon", "2"])

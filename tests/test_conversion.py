@@ -171,14 +171,21 @@ class TestRoundTrip:
             assert exact == pytest.approx(g(t), abs=1e-12)
 
     def test_kink_miss_is_not_ok(self):
-        # at this premise grid point (t ~ 757.5) the quadrature route
-        # converges falsely past q's kink at t0, missing the exact value by
-        # 0.514 with its error estimate near 4.6e-4
+        # a quadrature value 0.514 off at t ~ 757.5, what one panel set over
+        # q's kink at t0 gives, fails against a tolerance of 1e-9 t^2
+        q = build_q(CounterexampleSpec(0.145))
+        t = 10.0 ** (-3.0 + 6.0 * 195 / 199.0)
+        exact = exact_direct_convert(q, 2, t)
+        report = RoundTripReport((t,), (exact + 0.514,), (exact,), 0.514, 1e-9 * t**2)
+        assert not report.ok
+
+    def test_quadrature_splits_at_kink(self):
+        # quadrature over (0, t) unsplit converges falsely here, 0.514 off
         q = build_q(CounterexampleSpec(0.145))
         t = 10.0 ** (-3.0 + 6.0 * 195 / 199.0)
         report = roundtrip_check(q, 2, [t], 1e-9 * t**2)
-        assert report.max_deviation > 0.1
-        assert not report.ok
+        assert report.max_deviation <= 1e-6
+        assert report.ok
 
     def test_empty_grid_trivially_passes(self):
         report = roundtrip_check(global_poly(Polynomial((0.0, 12.0))), 2, [], 1e-9)

@@ -145,7 +145,7 @@ class TestExtrema:
 
 class TestPremise:
     def test_full_deformation_holds(self):
-        rep = check_premise(CounterexampleSpec(1.0), tol=1e-9)
+        rep = check_premise(CounterexampleSpec(1.0))
         assert rep.ok
         assert rep.analytic_ok and rep.numeric_ok
 
@@ -161,11 +161,39 @@ class TestPremise:
         assert g(t) / t == pytest.approx(t, rel=1e-15)
 
     def test_eps_zero_premise_tight(self):
-        rep = check_premise(
-            CounterexampleSpec(0.0), grid=[0.9, 1.0, 2.0, 10.0], tol=1e-10
-        )
+        rep = check_premise(CounterexampleSpec(0.0), grid=[0.9, 1.0, 2.0, 10.0])
         assert rep.ok
         assert abs(rep.worst_margin) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "eps_grid",
+        [
+            [k / 200.0 for k in range(201)],
+            [10.0 ** (-4.0 + 2.0 * i / 40.0) for i in range(41)],
+        ],
+        ids=["linear", "log"],
+    )
+    def test_holds_for_every_eps(self, eps_grid):
+        # both routes hold at every grid point, including those far past
+        # q's kink at t0 where unsplit quadrature misses g (eps = 0.145)
+        failing = [e for e in eps_grid if not check_premise(CounterexampleSpec(e)).ok]
+        assert failing == []
+
+    def test_numeric_route_catches_bad_conversion(self, monkeypatch):
+        # a q whose direct conversion overshoots t^2 beyond t0 breaks the
+        # premise; the profile g alone cannot see it
+        import khab.counterexample as ce
+        from khab.conversion import PiecewisePolynomial
+
+        def scaled_q(spec):
+            q = build_q(spec)
+            return PiecewisePolynomial(q.breakpoints, tuple(1.001 * p for p in q.pieces))
+
+        monkeypatch.setattr(ce, "build_q", scaled_q)
+        rep = check_premise(CounterexampleSpec(1.0))
+        assert rep.analytic_ok
+        assert not rep.numeric_ok
+        assert not rep.ok
 
 
 class TestDeltaI:
@@ -233,6 +261,12 @@ class TestVerify:
         rep = verify(CounterexampleSpec(0.5), 1e-9)
         assert rep.violation_margin == pytest.approx(0.00649722, abs=1e-6)
         assert rep.violated
+
+    def test_kink_crossing_eps_verifies(self):
+        # unsplit quadrature past q's kink at t0 misses g by 0.514 here
+        rep = verify(CounterexampleSpec(0.145))
+        assert rep.failures == ()
+        assert rep.premise_ok and rep.violated
 
     def test_each_integral_computed_once(self, monkeypatch):
         import khab.constants as constants

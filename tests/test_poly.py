@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +111,40 @@ class TestPositiveRoots:
         roots = positive_roots(p, 1e-10)
         assert len(roots) == 2
         assert all(abs(r - 1.37) < 1e-7 for r in roots)
+
+    def test_bisection_stops_below_root_ulp(self):
+        # near z = 161 one ulp exceeds tol / 4, so a loop that waits for the
+        # bracket to shrink below that never ends, on the float path and on
+        # the Sturm path; run in a child process so that a hang fails this
+        # test instead of stalling the suite
+        import khab
+
+        child = "\n".join([
+            "from fractions import Fraction",
+            "from khab.poly import Polynomial, _isolate_by_counts, _sturm_chain, positive_roots",
+            "from khab.transition import build_transition",
+            "roots = positive_roots(build_transition(7, 20.0).p_poly, 1e-13)",
+            # p(161) = 0 on the float scan sends (160, 161] to count bisection
+            "p = Polynomial((-161.0, 1.0))",
+            "chain = _sturm_chain([Fraction(c) for c in p.coeffs])",
+            "(root,) = _isolate_by_counts(p, chain, [160.0, 161.0], 1e-15)",
+            "print(len(roots), roots[-1], root)",
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(khab.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", child],
+                env=env, capture_output=True, text=True, timeout=30,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("root bisection did not terminate within 30 s")
+        assert done.returncode == 0, done.stderr
+        count, last, root = done.stdout.split()
+        assert int(count) == 7
+        assert float(last) == pytest.approx(160.8211, rel=1e-6)
+        assert abs(float(root) - 161.0) <= 1e-13
 
 
 @given(st.data())
