@@ -13,6 +13,20 @@ conjectured right-hand side from below: 0 < closed form <= C(n,alpha) < inf.
 Each sign interval is integrated separately between certified roots; the
 decomposition is never obtained by clipping the integrand pointwise over an
 uncertified domain.
+
+Every integral is taken in s = t^alpha, where z = t^(2*alpha) = s^2 and
+
+    Phi_{n-1}(alpha, t) * t^alpha dt = 4*alpha * s^2 P_{n-1}(s^2) / (1+s^2)^(n+1) ds.
+
+In t the integrand behaves like t^(3*alpha-1) at 0 and t^(-1-alpha) at
+infinity, both singular for small alpha, and the half-line map leaves a
+v^(alpha-1) singularity at the tail end.  In s it is a rational function
+that vanishes at least like s^2 at 0 and decays like s^(-2) at infinity for
+every alpha; it needs no power of t per evaluation, and the half-line map
+turns it into a bounded smooth function, so a few Gauss-Kronrod panels
+resolve each interval.  The sign intervals are the certified ones mapped by
+s = t^alpha; the integrand vanishes at their ends, so a boundary off by a
+few ulps changes nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .quad import QuadResult, integrate, integrate_halfline
-from .transition import Params, sign_partition, transition_eval, transition_for
+from .transition import Params, _scaled_rational, sign_partition, transition_for
 
 _ROOT_TOL = 1e-13
 
@@ -68,6 +82,9 @@ def closed_form_total(params: Params) -> float:
 def compute_constants(params: Params, tol: float = 1e-9) -> ConstantsReport:
     """Compute C(n, alpha), the negative-part integral and consistency data.
 
+    Each sign interval of Phi_{n-1}(alpha, t) * t^alpha, and the direct
+    half-line total, is integrated in s = t^alpha (see the module
+    docstring), where the integrand is rational and smooth at both ends.
     Root-certification and quadrature failures propagate.  The report's
     internal consistency (sign of the negative part, ordering against the
     closed form, decomposition residual) is checked against the combined
@@ -78,15 +95,17 @@ def compute_constants(params: Params, tol: float = 1e-9) -> ConstantsReport:
     tf = transition_for(params)
     part = sign_partition(tf, _ROOT_TOL)
     alpha = params.alpha
+    four_alpha = 4.0 * alpha
 
-    def f(t: float) -> float:
-        return transition_eval(tf, t) * t**alpha
+    def f(s: float) -> float:
+        return _scaled_rational(tf, four_alpha, s, 2.0)
 
     c_upper = 0.0
     c_err = 0.0
     m_minus = 0.0
     m_err = 0.0
     for lo, hi, sign in part.intervals():
+        lo, hi = lo**alpha, hi**alpha
         if math.isinf(hi):
             res = integrate_halfline(f, lo, tol)
         else:

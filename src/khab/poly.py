@@ -289,7 +289,8 @@ def positive_roots(p: Polynomial, tol: float) -> list[float]:
     for i in range(len(xs) - 1):
         if vals[i] == 0.0:
             roots.append(xs[i])
-        elif (vals[i] < 0) != (vals[i + 1] < 0):
+        elif vals[i + 1] != 0.0 and (vals[i] < 0) != (vals[i + 1] < 0):
+            # a zero at xs[i + 1] is recorded on the next step, not here
             roots.append(_bisect_root(q, xs[i], xs[i + 1], tol))
     if vals[-1] == 0.0:
         roots.append(xs[-1])

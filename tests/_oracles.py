@@ -61,3 +61,47 @@ def log_grid(lo, hi, n):
         10.0 ** (math.log10(lo) + (math.log10(hi) - math.log10(lo)) * i / (n - 1))
         for i in range(n)
     ]
+
+
+def constants_mp(p_coeffs, alpha, dps=30):
+    """(C, m_minus) of the transition function with numerator coefficients
+    ``p_coeffs`` (ascending, in z = t^(2*alpha)), integrated in t itself.
+
+    The sign boundaries are the positive real roots of P from
+    ``mp.polyroots`` mapped through t = z^(1/(2*alpha)); each sign interval
+    of Phi(t) * t^alpha = (4*alpha^2/t) z P(z)/(1+z)^(order+2) * t^alpha is
+    one tanh-sinh quadrature.  It shares no step with the package's own
+    quadrature or its change of variable.  Returns mpf values.
+    """
+    with mp.workdps(dps):
+        a = mp.mpf(repr(alpha))
+        coeffs = [mp.mpf(repr(c)) for c in p_coeffs]
+        exponent = len(coeffs) + 1  # order + 2 with order = degree of P
+
+        def poly(z):
+            return mp.polyval(coeffs[::-1], z)
+
+        def integrand(t):
+            z = t ** (2 * a)
+            return 4 * a * a * t ** (a - 1) * z * poly(z) / (1 + z) ** exponent
+
+        roots = []
+        if len(coeffs) > 1:
+            for r in mp.polyroots(coeffs[::-1], maxsteps=200, extraprec=2 * dps):
+                if abs(mp.im(r)) < mp.mpf(10) ** (-dps // 2) and mp.re(r) > 0:
+                    roots.append(mp.re(r) ** (1 / (2 * a)))
+        edges = [mp.mpf(0)] + sorted(roots) + [mp.inf]
+        c_upper = mp.mpf(0)
+        m_minus = mp.mpf(0)
+        for lo, hi in zip(edges, edges[1:]):
+            # the tail decays only like t^(-1-alpha); tanh-sinh's map of an
+            # infinite end needs that tail cut into decades of 1e4 first
+            cuts = []
+            if hi == mp.inf:
+                cuts = [max(lo, 1) * mp.mpf(10) ** (4 * k) for k in range(1, 16)]
+            val = mp.quad(integrand, [lo] + cuts + [hi])
+            if val >= 0:
+                c_upper += val
+            else:
+                m_minus += val
+        return c_upper, m_minus

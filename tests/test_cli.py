@@ -57,6 +57,15 @@ class TestConstantsCommand:
         data = json.loads(out)
         assert data["c_upper"] == pytest.approx(19.65507202, abs=1e-6)
 
+    def test_residual_case_exits_zero(self, capsys):
+        # once refused with a spurious decomposition residual
+        code, out, _ = run(
+            capsys, ["constants", "--n", "5", "--alpha", "0.6731", "--format", "json"]
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["m_minus_integral"] <= 0.0
+
 
 class TestCounterexampleCommand:
     def test_full_deformation_verifies(self, capsys):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from _oracles import constants_mp
 from khab.constants import ConstantsError, closed_form_total, compute_constants
 from khab.counterexample import CounterexampleSpec, lhs_integral
 from khab.quad import integrate_halfline
@@ -69,6 +70,38 @@ class TestComputeConstants:
             "m_minus_integral",
             "decomposition_residual",
         }
+
+
+class TestAccuracy:
+    @pytest.mark.parametrize("alpha", [0.6730869961413777, 0.6731])
+    def test_decomposition_residual_within_error(self, alpha):
+        # at these alpha the t-domain quadrature once left a residual of
+        # 2.9e-9 against a combined error estimate of 1.4e-9
+        rep = compute_constants(Params(5, alpha), 1e-9)
+        combined = (
+            rep.c_upper_error
+            + rep.m_minus_error
+            + rep.total_integral.abs_error_estimate
+            + 1e-12 * max(1.0, rep.closed_form_total)
+        )
+        assert abs(rep.decomposition_residual) <= combined
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1])
+    def test_small_alpha_order_zero(self, alpha):
+        # C(1, alpha) = pi*alpha exactly: Phi_0 has no sign change
+        rep = compute_constants(Params(1, alpha), 1e-9)
+        assert rep.m_minus_integral == 0.0
+        assert abs(rep.c_upper - math.pi * alpha) <= rep.c_upper_error + 1e-12
+
+    @pytest.mark.parametrize("n, alpha", [(3, 2.0), (4, 0.25), (5, 2.5), (8, 1.25)])
+    def test_against_mpmath_in_t(self, n, alpha):
+        rep = compute_constants(Params(n, alpha), 1e-9)
+        c_ref, m_ref = constants_mp(build_transition(n - 1, alpha).p_poly.coeffs, alpha)
+        c_ref, m_ref = float(c_ref), float(m_ref)
+        assert abs(rep.c_upper - c_ref) <= rep.c_upper_error + 1e-12 * abs(c_ref)
+        assert abs(rep.m_minus_integral - m_ref) <= (
+            rep.m_minus_error + 1e-12 * abs(m_ref)
+        )
 
 
 class TestRootIntegralConsistency:

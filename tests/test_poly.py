@@ -99,6 +99,26 @@ class TestPositiveRoots:
         p = Polynomial((-1.0, 1.0)) * Polynomial((-3.0, 1.0))
         assert positive_roots(p, 1e-10) == pytest.approx([1.0, 3.0])
 
+    @pytest.mark.parametrize("order, alpha, count", [(2, 1.0, 1), (6, 3.0, 5)])
+    def test_grid_point_root_needs_no_exact_fallback(
+        self, monkeypatch, order, alpha, count
+    ):
+        # P_2(1, z) and P_6(3, z) vanish at z = 1 = 10**0, a scan point; the
+        # float scan alone must account for that root exactly once
+        from khab import poly
+        from khab.transition import build_transition
+
+        def refuse(*args):
+            raise AssertionError("exact count fallback ran")
+
+        monkeypatch.setattr(poly, "_isolate_by_counts", refuse)
+        p = build_transition(order, alpha).p_poly
+        roots = positive_roots(p, 1e-13)
+        assert 1.0 in roots
+        assert len(roots) == count
+        for r in roots:
+            assert abs(p(r)) <= 1e-9 * (abs(p.derivative()(r)) + 1.0)
+
     def test_multiple_root_fails_certification(self):
         # float-rounded (z - 1.37)^2 has two exact roots ~1e-8 apart;
         # a merge tolerance above the separation cannot be certified
