@@ -1,15 +1,17 @@
 """Dense real-coefficient polynomials and certified positive-root isolation.
 
 Coefficients are stored in ascending degree order; the zero polynomial is
-the empty tuple.  Everything here is double precision: the exact surd
-roots that show up downstream are validated numerically, never symbolically.
+the empty tuple.  Polynomial arithmetic is double precision.  Root
+isolation reads the float coefficients exactly as integers and decides
+every sign in integer arithmetic, so the roots it certifies are those of
+the stored coefficients, on the whole half-line; only the reported root
+values are floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class RootCertificationError(RuntimeError):
@@ -93,221 +95,157 @@ class Polynomial:
 
 
 # --- positive-root isolation -------------------------------------------------
-
-# scan grid density per the accuracy needs here: the polynomials that matter
-# have degree <= ~8 and well separated roots
-_SCAN_LO_EXP = -8.0
-_SCAN_HI_EXP = 8.0
-_POINTS_PER_DECADE = 64
-
-
-def _fraction_coeffs(p: Polynomial) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
+#
+# Vincent-Collins-Akritas: Descartes' rule of signs with bisection (Collins &
+# Akritas 1976; Rouillier & Zimmermann 2004) on the float coefficients read
+# exactly as integers.  Roots in (0, 1) are searched in z itself and roots in
+# (1, inf) in w = 1/z, through the reversed coefficients, so no window bounds
+# where a root can be found.
 
 
-def _frac_deriv(c: list[Fraction]) -> list[Fraction]:
-    return [k * c[k] for k in range(1, len(c))]
+def _integer_coeffs(coeffs: tuple[float, ...]) -> list[int]:
+    """The coefficients times one power of two, as exact integers."""
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    scale = max(den for _, den in ratios)
+    return [num * (scale // den) for num, den in ratios]
 
 
-def _frac_rem(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    """Remainder of exact polynomial division num / den."""
-    rem = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    while len(rem) - 1 >= dn and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dn:
-            break
-        factor = rem[-1] / lead
-        shift = len(rem) - 1 - dn
-        for i, d in enumerate(den):
-            rem[shift + i] -= factor * d
-        rem.pop()
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return rem
+def _sign_variations(a: list[int]) -> int:
+    signs = [c > 0 for c in a if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
-def _sturm_chain(coeffs: list[Fraction]) -> list[list[Fraction]]:
-    chain = [coeffs, _frac_deriv(coeffs)]
-    while len(chain[-1]) > 1:
-        rem = _frac_rem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return chain
+def _taylor_shift1(a: list[int]) -> list[int]:
+    """Coefficients of a(x + 1)."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
 
 
-def _sign_changes(values: list[int]) -> int:
-    signs = [v for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+def _sign_at(a: list[int], x: float) -> int:
+    """Exact sign of a(x) for a float x >= 0: x = num / 2**s, so
+    2**(s*deg) * a(x) is an integer."""
+    num, den = x.as_integer_ratio()
+    s = den.bit_length() - 1
+    acc, shift = 0, 0
+    for c in reversed(a):
+        acc = acc * num + (c << shift)
+        shift += s
+    return (acc > 0) - (acc < 0)
 
 
-def _sign_count_at(chain: list[list[Fraction]], x: Fraction) -> int:
-    vals = []
-    for c in chain:
-        acc = Fraction(0)
-        for coef in reversed(c):
-            acc = acc * x + coef
-        vals.append(1 if acc > 0 else -1 if acc < 0 else 0)
-    return _sign_changes(vals)
-
-
-def _sign_count_zero_plus(chain: list[list[Fraction]]) -> int:
-    vals = []
-    for c in chain:
-        s = 0
-        for coef in c:
-            if coef != 0:
-                s = 1 if coef > 0 else -1
-                break
-        vals.append(s)
-    return _sign_changes(vals)
-
-
-def _sign_count_inf(chain: list[list[Fraction]]) -> int:
-    vals = [1 if c[-1] > 0 else -1 if c[-1] < 0 else 0 for c in chain]
-    return _sign_changes(vals)
-
-
-def _bisect(lo: float, hi: float, tol: float, in_left) -> tuple[float, float]:
-    """Narrow the bracket (lo, hi] of one root to width tol / 4 or one ulp.
-    ``in_left(mid)``: does the root lie in (lo, mid]?  It may compare with
-    the sign or Sturm count at the starting lo; moving lo keeps both."""
-    while hi - lo > 0.25 * tol:
+def _refine(
+    a: list[int], lo: float, hi: float, sign_lo: int, tol: float, reciprocal: bool
+) -> float:
+    """Bisect the bracket (lo, hi) of one simple root of ``a`` in x until
+    the root z (x, or 1/x if ``reciprocal``) is known to within
+    tol/4 * min(1, z), or to one ulp.  ``sign_lo`` is the sign of ``a`` just
+    above lo, which may itself be a root."""
+    while True:
+        # z below 1: relative width of (lo, hi); z above 1: 1/lo - 1/hi
+        bound = 0.25 * tol * lo * (hi if reciprocal else 1.0)
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+        if hi - lo <= bound or not lo < mid < hi:
             break
-        if in_left(mid):
+        side = _sign_at(a, mid) * sign_lo
+        if side == 0:  # mid is the root
+            lo = hi = mid
+        elif side < 0:
             hi = mid
         else:
             lo = mid
-    return lo, hi
-
-
-def _bisect_root(p: Polynomial, lo: float, hi: float, tol: float) -> float:
-    sign_lo = math.copysign(1.0, p(lo))
-    lo, hi = _bisect(lo, hi, tol, lambda x: p(x) * sign_lo <= 0.0)
-    root = 0.5 * (lo + hi)
-    # Newton polish, clamped to the certified bracket
-    dp = p.derivative()
-    for _ in range(3):
-        d = dp(root)
-        if d == 0.0:
-            break
-        step = p(root) / d
-        cand = root - step
-        if lo <= cand <= hi:
-            root = cand
-    return root
-
-
-def _isolate_by_counts(
-    q: Polynomial, chain: list[list[Fraction]], xs: list[float], tol: float
-) -> list[float]:
-    """Exact fallback when float sign scanning misses certified roots."""
-    counts = [_sign_count_at(chain, Fraction(x)) for x in xs]
-    if _sign_count_zero_plus(chain) - counts[0] > 0:
+    z = 0.5 * (lo + hi)
+    if reciprocal:
+        z = 1.0 / z if z else math.inf
+    if not 0.0 < z < math.inf:
         raise RootCertificationError(
-            "certified root below the scan window (z < 1e-8)"
+            f"a positive root lies outside the float range, near z = {z}"
         )
-    if counts[-1] - _sign_count_inf(chain) > 0:
-        raise RootCertificationError(
-            "certified root above the scan window (z > 1e8)"
-        )
+    return z
 
-    roots: list[float] = []
-    stack = [
-        (xs[i], xs[i + 1], counts[i] - counts[i + 1])
-        for i in range(len(xs) - 1)
-        if counts[i] - counts[i + 1] > 0
-    ]
+
+def _unit_roots(a: list[int], tol: float, reciprocal: bool) -> list[float]:
+    """Roots z of ``a`` for x in (0, 1), where z = x or z = 1/x.
+
+    Each node is the open interval (c/2**k, (c+1)/2**k) with the integer
+    polynomial q whose roots in (0, 1) are a's roots there.  The sign
+    variations of (1+x)**deg * q(1/(1+x)) bound their number from above and
+    equal it when 0 or 1; a node is split with 2**deg * q(x/2) and its
+    Taylor shift by 1.  A node that keeps two or more variations once its
+    z-width is below tol * min(1, z) raises, which bounds the depth.
+    """
+    tol_num, tol_den = float(tol).as_integer_ratio()
+    roots = []
+    stack = [(a, 0, 0)]
     while stack:
-        lo, hi, k = stack.pop()
-        if k == 1:
-            flo, fhi = q(lo), q(hi)
-            if flo != 0.0 and fhi != 0.0 and (flo < 0) != (fhi < 0):
-                roots.append(_bisect_root(q, lo, hi, tol))
-            else:
-                v_lo = _sign_count_at(chain, Fraction(lo))
-                lo, hi = _bisect(
-                    lo, hi, tol, lambda x: _sign_count_at(chain, Fraction(x)) < v_lo
-                )
-                roots.append(0.5 * (lo + hi))
+        q, c, k = stack.pop()
+        v = _sign_variations(_taylor_shift1(q[::-1]))
+        if v == 0:
             continue
-        if hi - lo <= tol:
+        lo, hi = c / (1 << k), (c + 1) / (1 << k)
+        if v == 1:
+            # q(x) is a(lo + x*(hi - lo)) times a positive factor
+            sign_lo = 1 if next(coef for coef in q if coef) > 0 else -1
+            roots.append(_refine(a, lo, hi, sign_lo, tol, reciprocal))
+            continue
+        # z-width below tol * min(1, z): 2**k/(c*(c+1)) <= tol in z = 1/x,
+        # 1/2**k <= tol * c/2**k in z = x
+        if reciprocal:
+            narrow = (tol_den << k) <= tol_num * c * (c + 1)
+        else:
+            narrow = tol_den <= tol_num * c
+        if narrow:
+            z_lo, z_hi = (1.0 / hi, 1.0 / lo) if reciprocal else (lo, hi)
             raise RootCertificationError(
-                f"{k} certified roots within {tol} of each other near "
-                f"z = {0.5 * (lo + hi):.6g}; tighten tol or treat analytically"
+                f"{v} sign variations left on z in ({z_lo:.17g}, {z_hi:.17g}), "
+                f"narrower than tol = {tol}: a multiple root or a root cluster; "
+                "tighten tol or treat analytically"
             )
-        mid = 0.5 * (lo + hi)
-        k_left = _sign_count_at(chain, Fraction(lo)) - _sign_count_at(
-            chain, Fraction(mid)
-        )
-        if k_left > 0:
-            stack.append((lo, mid, k_left))
-        if k - k_left > 0:
-            stack.append((mid, hi, k - k_left))
+        deg = len(q) - 1
+        left = [coef << (deg - i) for i, coef in enumerate(q)]
+        right = _taylor_shift1(left)
+        if right[0] == 0:  # the midpoint itself is a root
+            mid = (2 * c + 1) / (1 << (k + 1))
+            z = 1.0 / mid if reciprocal else mid
+            if right[1] == 0:
+                raise RootCertificationError(f"multiple root at z = {z!r}")
+            roots.append(z)
+            right = right[1:]
+        stack.append((left, 2 * c, k + 1))
+        stack.append((right, 2 * c + 1, k + 1))
     return roots
 
 
 def positive_roots(p: Polynomial, tol: float) -> list[float]:
-    """All roots of ``p`` in (0, inf), sorted, each located to within ``tol``.
+    """All roots of ``p`` in (0, inf), sorted, each located to within
+    ``tol * min(1, z)``, or to one ulp.
 
-    Brackets come from sign changes on a geometric scan grid
-    (``_POINTS_PER_DECADE`` points per decade over ``(1e-8, 1e8)``) refined
-    by bisection.  An exact Sturm-sequence count over the whole half-line
-    certifies completeness; on a mismatch the roots the float scan missed
-    are isolated by exact count bisection.  Certified roots closer together
-    than ``tol`` (multiple roots in particular) and roots outside the scan
-    window raise :class:`RootCertificationError`.
+    The float coefficients are read exactly as integers, and the roots are
+    isolated by Descartes' rule of signs with bisection on (0, 1) and, for
+    the reversed coefficients, on (1, inf); z = 1 is tested exactly.  There
+    is no search window: every positive root of the exact coefficients is
+    found.  Each isolated root is refined by bisection on float midpoints,
+    each step decided by the exact sign of ``p``, so every root reported is
+    simple and ``p`` changes sign there.  A multiple root, or roots closer
+    together than ``tol * min(1, z)``, raise :class:`RootCertificationError`.
     """
     if p.is_zero():
         raise ValueError("positive_roots requires a nonzero polynomial")
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    # roots exactly at zero are outside (0, inf); strip them
-    coeffs = list(p.coeffs)
-    while coeffs and coeffs[0] == 0.0:
-        coeffs.pop(0)
-    q = Polynomial(tuple(coeffs))
-    if q.degree <= 0:
+    a = _integer_coeffs(p.coeffs)
+    while a[0] == 0:  # roots at zero are outside (0, inf)
+        a.pop(0)
+    if _sign_variations(a) == 0:
         return []
 
-    chain = _sturm_chain(_fraction_coeffs(q))
-    expected = _sign_count_zero_plus(chain) - _sign_count_inf(chain)
-    if expected == 0:
-        return []
-
-    n_points = int((_SCAN_HI_EXP - _SCAN_LO_EXP) * _POINTS_PER_DECADE) + 1
-    xs = [10.0 ** (_SCAN_LO_EXP + i / _POINTS_PER_DECADE) for i in range(n_points)]
-    vals = [q(x) for x in xs]
-
-    roots: list[float] = []
-    for i in range(len(xs) - 1):
-        if vals[i] == 0.0:
-            roots.append(xs[i])
-        elif vals[i + 1] != 0.0 and (vals[i] < 0) != (vals[i + 1] < 0):
-            # a zero at xs[i + 1] is recorded on the next step, not here
-            roots.append(_bisect_root(q, xs[i], xs[i + 1], tol))
-    if vals[-1] == 0.0:
-        roots.append(xs[-1])
-
-    if len(roots) != expected:
-        roots = _isolate_by_counts(q, chain, xs, tol)
-
-    # merge near-coincident reports
-    merged: list[float] = []
-    for r in sorted(roots):
-        if merged and r - merged[-1] < tol:
-            continue
-        merged.append(r)
-
-    if len(merged) != expected:
-        raise RootCertificationError(
-            f"located {len(merged)} positive roots but the Sturm count "
-            f"certifies {expected}; tighten tol or treat analytically"
-        )
-    return merged
+    roots = []
+    if sum(a) == 0:
+        if sum(k * c for k, c in enumerate(a)) == 0:
+            raise RootCertificationError("multiple root at z = 1.0")
+        roots.append(1.0)
+    roots += _unit_roots(a, tol, False) + _unit_roots(a[::-1], tol, True)
+    return sorted(roots)

@@ -72,8 +72,8 @@ class SignPartition:
     """Sign layout of a transition function on the half-line t > 0.
 
     ``boundary_ts`` are the positive z-roots of the numerator polynomial
-    mapped through t = z^(1/(2*alpha)); ``signs`` holds one entry of +1/-1
-    per interval, boundaries included in the nonnegative side.
+    mapped through t = z^(1/(2*alpha)); ``signs`` holds the sign, +1 or
+    -1, of Phi on each open interval between them.
     """
 
     boundary_ts: tuple[float, ...]
@@ -167,7 +167,9 @@ def sign_partition(tf: TransitionFunction, tol: float) -> SignPartition:
     """Split (0, inf) into maximal intervals of constant sign of Phi.
 
     Boundaries are the certified positive z-roots of the numerator
-    polynomial mapped to t; root-certification failures propagate.
+    polynomial mapped to t; root-certification failures propagate.  Every
+    certified root is simple, so the sign starts as that of P's lowest
+    nonzero coefficient (P near z = 0+) and flips at each boundary.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -176,18 +178,7 @@ def sign_partition(tf: TransitionFunction, tol: float) -> SignPartition:
     z_roots = positive_roots(tf.p_poly, tol)
     exponent = 1.0 / (2.0 * tf.alpha)
     boundary = tuple(z**exponent for z in z_roots)
-
-    signs = []
-    edges = (0.0,) + boundary + (math.inf,)
-    for i in range(len(edges) - 1):
-        lo, hi = edges[i], edges[i + 1]
-        if lo == 0.0 and math.isinf(hi):
-            sample = 1.0
-        elif lo == 0.0:
-            sample = 0.5 * hi
-        elif math.isinf(hi):
-            sample = 2.0 * lo
-        else:
-            sample = math.sqrt(lo * hi)
-        signs.append(1 if transition_eval(tf, sample) >= 0.0 else -1)
-    return SignPartition(boundary, tuple(signs))
+    lowest = next(c for c in tf.p_poly.coeffs if c != 0.0)
+    first = 1 if lowest > 0 else -1
+    signs = tuple(first * (-1) ** i for i in range(len(boundary) + 1))
+    return SignPartition(boundary, signs)

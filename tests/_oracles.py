@@ -105,3 +105,27 @@ def constants_mp(p_coeffs, alpha, dps=30):
             else:
                 m_minus += val
         return c_upper, m_minus
+
+
+def positive_roots_mp(p_coeffs, dps=60):
+    """Positive real roots, as floats, of the polynomial whose coefficients
+    (ascending) are the exact rational values of the floats ``p_coeffs``.
+
+    ``mp.polyroots`` at ``dps`` digits on those exact values; it shares no
+    step with the package's root isolation.  A root counts as real when its
+    imaginary part is below 10**(-dps/2) of its modulus.
+    """
+    with mp.workdps(dps):
+        coeffs = [mp.mpf(c) for c in p_coeffs]  # exact: a float is dyadic
+        while coeffs[0] == 0:
+            coeffs.pop(0)
+        while coeffs[-1] == 0:
+            coeffs.pop()
+        if len(coeffs) < 2:
+            return []
+        found = mp.polyroots(coeffs[::-1], maxsteps=500, extraprec=4 * dps)
+        tiny = mp.mpf(10) ** (-dps // 2)
+        return sorted(
+            float(mp.re(r)) for r in found
+            if mp.re(r) > 0 and abs(mp.im(r)) <= tiny * abs(r)
+        )

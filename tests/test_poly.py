@@ -5,10 +5,12 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from _oracles import positive_roots_mp
 from khab.poly import Polynomial, RootCertificationError, positive_roots
+from khab.transition import build_transition
 
 R3 = Polynomial((-2.0, 16.0, -34.0, 21.0))
 
@@ -100,21 +102,13 @@ class TestPositiveRoots:
         assert positive_roots(p, 1e-10) == pytest.approx([1.0, 3.0])
 
     @pytest.mark.parametrize("order, alpha, count", [(2, 1.0, 1), (6, 3.0, 5)])
-    def test_grid_point_root_needs_no_exact_fallback(
-        self, monkeypatch, order, alpha, count
-    ):
-        # P_2(1, z) and P_6(3, z) vanish at z = 1 = 10**0, a scan point; the
-        # float scan alone must account for that root exactly once
-        from khab import poly
-        from khab.transition import build_transition
-
-        def refuse(*args):
-            raise AssertionError("exact count fallback ran")
-
-        monkeypatch.setattr(poly, "_isolate_by_counts", refuse)
+    def test_grid_point_root_needs_no_exact_fallback(self, order, alpha, count):
+        # P_2(1, z) and P_6(3, z) vanish at z = 1 exactly, the point where
+        # the isolation on (0, 1) meets the one on (1, inf); that root must
+        # be reported once
         p = build_transition(order, alpha).p_poly
         roots = positive_roots(p, 1e-13)
-        assert 1.0 in roots
+        assert roots.count(1.0) == 1
         assert len(roots) == count
         for r in roots:
             assert abs(p(r)) <= 1e-9 * (abs(p.derivative()(r)) + 1.0)
@@ -126,6 +120,16 @@ class TestPositiveRoots:
         with pytest.raises(RootCertificationError):
             positive_roots(p, 1e-6)
 
+    def test_exact_double_root_fails_certification(self):
+        with pytest.raises(RootCertificationError):
+            positive_roots(Polynomial((1.0, -2.0, 1.0)), 1e-9)
+
+    @pytest.mark.parametrize("coeffs", [(-1e300, 1e-300), (-1e-300, 1e300)])
+    def test_root_beyond_float_range_fails_certification(self, coeffs):
+        # roots at z = 1e600 and z = 1e-600 are certified but not floats
+        with pytest.raises(RootCertificationError):
+            positive_roots(Polynomial(coeffs), 1e-12)
+
     def test_close_pair_resolved_at_tight_tol(self):
         p = Polynomial((1.37**2, -2 * 1.37, 1.0))
         roots = positive_roots(p, 1e-10)
@@ -134,20 +138,15 @@ class TestPositiveRoots:
 
     def test_bisection_stops_below_root_ulp(self):
         # near z = 161 one ulp exceeds tol / 4, so a loop that waits for the
-        # bracket to shrink below that never ends, on the float path and on
-        # the Sturm path; run in a child process so that a hang fails this
-        # test instead of stalling the suite
+        # bracket to shrink below that never ends; run in a child process so
+        # that a hang fails this test instead of stalling the suite
         import khab
 
         child = "\n".join([
-            "from fractions import Fraction",
-            "from khab.poly import Polynomial, _isolate_by_counts, _sturm_chain, positive_roots",
+            "from khab.poly import Polynomial, positive_roots",
             "from khab.transition import build_transition",
             "roots = positive_roots(build_transition(7, 20.0).p_poly, 1e-13)",
-            # p(161) = 0 on the float scan sends (160, 161] to count bisection
-            "p = Polynomial((-161.0, 1.0))",
-            "chain = _sturm_chain([Fraction(c) for c in p.coeffs])",
-            "(root,) = _isolate_by_counts(p, chain, [160.0, 161.0], 1e-15)",
+            "(root,) = positive_roots(Polynomial((-161.0, 1.0)), 1e-15)",
             "print(len(roots), roots[-1], root)",
         ])
         src = os.path.dirname(os.path.dirname(os.path.abspath(khab.__file__)))
@@ -165,6 +164,17 @@ class TestPositiveRoots:
         assert int(count) == 7
         assert float(last) == pytest.approx(160.8211, rel=1e-6)
         assert abs(float(root) - 161.0) <= 1e-13
+
+    def test_tiny_root_to_relative_accuracy(self):
+        # P_19(10, z) has its smallest root near z = 7.25e-12, far below
+        # tol = 1e-13 in absolute terms
+        p = build_transition(19, 10.0).p_poly
+        roots = positive_roots(p, 1e-13)
+        ref = positive_roots_mp(p.coeffs)
+        assert len(roots) == len(ref)
+        assert ref[0] == pytest.approx(7.25e-12, rel=1e-3)
+        for r, x in zip(roots, ref):
+            assert r == pytest.approx(x, rel=1e-9)
 
 
 @given(st.data())
@@ -190,6 +200,29 @@ def test_planted_roots_recovered(data):
     assert len(got) == len(roots)
     for g, r in zip(got, roots):
         assert abs(g - r) < 1e-7
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_planted_roots_anywhere_on_halfline(data):
+    # 1-5 roots log-uniform over (1e-20, 1e20), pairwise 1e-3 apart in
+    # relative terms.  Rounding the product's coefficients to floats moves a
+    # cluster of such roots by far more than 1e-9 (four or five of them
+    # 1e-3 apart can even turn into complex pairs), so the reference is the
+    # roots of the float coefficients themselves, taken exactly.
+    k = data.draw(st.integers(min_value=1, max_value=5))
+    exps = sorted(data.draw(st.lists(
+        st.floats(min_value=-20, max_value=20), min_size=k, max_size=k)))
+    planted = [10.0**e for e in exps]
+    assume(all(b >= 1.001 * a for a, b in zip(planted, planted[1:])))
+    p = Polynomial((1.0,))
+    for r in planted:
+        p = p * Polynomial((-r, 1.0))
+    got = positive_roots(p, 1e-12)
+    ref = positive_roots_mp(p.coeffs)
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert g == pytest.approx(r, rel=1e-9)
 
 
 def test_planted_roots_seeded_battery():

@@ -1,6 +1,11 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+import sympy
 
 from khab.poly import RootCertificationError
 from khab.transition import (
@@ -205,3 +210,41 @@ class TestSignPartition:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             sign_partition(build_transition(1, 2.0), 0.0)
+
+    def test_sweep_counts_are_exact(self):
+        # n = 1..25 x alpha in 0.01..100: roots reach z ~ 6e-26 and z ~ 2e7.
+        # All 225 cases run in one child process under one wall-clock bound,
+        # so that a hang fails this test instead of stalling the suite.
+        import khab
+
+        alphas = (0.01, 0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0)
+        cases = [(n, a) for n in range(1, 26) for a in alphas]
+        z = sympy.Symbol("z")
+        expected = []
+        for n, a in cases:
+            coeffs = list(transition_for(Params(n, a)).p_poly.coeffs)
+            while coeffs[0] == 0.0:  # z = 0 is no boundary
+                coeffs.pop(0)
+            exact = sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], z)
+            expected.append(exact.count_roots(0, sympy.oo))
+
+        child = "\n".join([
+            "import json",
+            "from khab.transition import Params, sign_partition, transition_for",
+            f"cases = {cases!r}",
+            "print(json.dumps([len(sign_partition(transition_for(Params(n, a)),"
+            " 1e-13).boundary_ts) for n, a in cases]))",
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(khab.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", child],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("the 225 sweep cases did not finish within 60 s")
+        assert done.returncode == 0, done.stderr
+        counts = json.loads(done.stdout)
+        assert dict(zip(cases, counts)) == dict(zip(cases, expected))
