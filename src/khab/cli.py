@@ -10,8 +10,8 @@ piecewise polynomials as JSON), and ``plotdata`` (CSV curves).
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Numeric text
 output prints 10 significant digits; JSON floats round-trip bit-exactly.
 The default tolerance is 1e-9, overridable by the KHAB_TOL environment
-variable and per-run by ``--tol``; ``convert`` and ``plotdata`` compute in
-closed form and ignore it.
+variable and per-run by ``--tol``; ``constants``, ``convert`` and
+``plotdata`` compute in closed form and ignore it.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--tol",
         type=float,
         default=None,
-        help="absolute quadrature tolerance (default 1e-9, env KHAB_TOL)",
+        help="absolute quadrature tolerance (default 1e-9, env KHAB_TOL); "
+        "no effect on constants, convert and plotdata",
     )
     p.add_argument(
         "--format",

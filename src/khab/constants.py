@@ -10,32 +10,31 @@ the certified numerator roots gives, per sign class,
 
 the last equality being the closed-form total that also bounds the
 conjectured right-hand side from below: 0 < closed form <= C(n,alpha) < inf.
-Each sign interval is integrated separately between certified roots; the
-decomposition is never obtained by clipping the integrand pointwise over an
-uncertified domain.
+The decomposition is never obtained by clipping the integrand pointwise.
 
-Every integral is taken in s = t^alpha, where z = t^(2*alpha) = s^2 and
+Each sign interval between certified roots is integrated in closed form.
+With s = t^alpha = tan(theta) and p_k the coefficients of P_{n-1},
 
-    Phi_{n-1}(alpha, t) * t^alpha dt = 4*alpha * s^2 P_{n-1}(s^2) / (1+s^2)^(n+1) ds.
+    Phi_{n-1}(alpha, t) * t^alpha dt = 4*alpha * s^2 P_{n-1}(s^2) / (1+s^2)^(n+1) ds
+        = 4*alpha * sum_k p_k sin^(2k+2)(theta) cos^(2(n-1-k))(theta) dtheta
+        = sum_{j=0..n} d_j cos(2 j theta) dtheta,   d = 4*alpha * M_n p,
 
-In t the integrand behaves like t^(3*alpha-1) at 0 and t^(-1-alpha) at
-infinity, both singular for small alpha, and the half-line map leaves a
-v^(alpha-1) singularity at the tail end.  In s it is a rational function
-that vanishes at least like s^2 at 0 and decays like s^(-2) at infinity for
-every alpha; it needs no power of t per evaluation, and the half-line map
-turns it into a bounded smooth function, so a few Gauss-Kronrod panels
-resolve each interval.  The sign intervals are the certified ones mapped by
-s = t^alpha; the integrand vanishes at their ends, so a boundary off by a
-few ulps changes nothing.
+with M_n alpha-independent (:func:`_cos_matrix`), so an interval integrates
+to F(theta_hi) - F(theta_lo), F(theta) = d_0 theta + sum_{j>=1} d_j
+sin(2 j theta)/(2 j), at theta = arctan(t^alpha) of its certified ends
+(pi/2 at infinity).  The integrand vanishes at the ends, so a root error
+enters C only quadratically.  The half-line total is d_0 * pi/2, and its
+match with the closed form is the one consistency check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
-from .quad import QuadResult, integrate, integrate_halfline
-from .transition import Params, _scaled_rational, sign_partition, transition_for
+from .quad import QuadResult
+from .transition import Params, sign_partition, transition_for
 
 _ROOT_TOL = 1e-13
 
@@ -79,66 +78,68 @@ def closed_form_total(params: Params) -> float:
     return math.pi * params.alpha * prod
 
 
+@cache
+def _cos_matrix(n: int) -> tuple[tuple[float, ...], ...]:
+    """M_n: sin^(2k+2) cos^(2(n-1-k)) = sum_j M[j][k] cos(2 j theta).
+
+    From sin^2 = -(y-1)^2/(4y) and cos^2 = (y+1)^2/(4y) at y = exp(2i theta),
+    M[j][k] = (-1)^(k+1) w_j [y^(n+j)] (y-1)^(2k+2) (y+1)^(2(n-1-k)) / 4^n
+    with w_0 = 1, w_j = 2: integers over 4^n, exact in floats for n <= 25.
+    """
+    def numerator(j: int, a: int) -> int:
+        return sum(
+            (-1) ** i * math.comb(a, i) * math.comb(2 * n - a, n + j - i)
+            for i in range(min(a, n + j) + 1)
+        )
+
+    return tuple(
+        tuple(
+            (-1) ** (k + 1) * (1 if j == 0 else 2) * numerator(j, 2 * k + 2) / 4**n
+            for k in range(n)
+        )
+        for j in range(n + 1)
+    )
+
+
 def compute_constants(params: Params, tol: float = 1e-9) -> ConstantsReport:
     """Compute C(n, alpha), the negative-part integral and consistency data.
 
-    Each sign interval of Phi_{n-1}(alpha, t) * t^alpha, and the direct
-    half-line total, is integrated in s = t^alpha (see the module
-    docstring), where the integrand is rational and smooth at both ends.
-    Root-certification and quadrature failures propagate.  The report's
-    internal consistency (sign of the negative part, ordering against the
-    closed form, decomposition residual) is checked against the combined
-    quadrature error estimates; a violation raises :class:`ConstantsError`.
+    Each sign interval is integrated in closed form in theta = arctan(t^alpha)
+    (see the module docstring); ``tol`` is validated but has no effect, and
+    root-certification failures propagate.  Every error field holds one
+    rounding bound: (n+2) * eps * pi/2 times the summed |4*alpha*M[j][k]*p_k|.
+    A total d_0 * pi/2 off the closed form by more than that bound plus
+    1e-12 * max(1, closed form) raises :class:`ConstantsError`.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     tf = transition_for(params)
     part = sign_partition(tf, _ROOT_TOL)
-    alpha = params.alpha
-    four_alpha = 4.0 * alpha
+    n, alpha = params.n, params.alpha
+    terms = [
+        [4.0 * alpha * m * c for m, c in zip(row, tf.p_poly.coeffs)]
+        for row in _cos_matrix(n)
+    ]
+    d = [math.fsum(row) for row in terms]
 
-    def f(s: float) -> float:
-        return _scaled_rational(tf, four_alpha, s, 2.0)
+    def integral(lo: float, hi: float) -> float:
+        theta_lo, theta_hi = math.atan(lo**alpha), math.atan(hi**alpha)
+        return d[0] * (theta_hi - theta_lo) + sum(
+            d[j] * (math.sin(2 * j * theta_hi) - math.sin(2 * j * theta_lo)) / (2 * j)
+            for j in range(1, n + 1)
+        )
 
-    c_upper = 0.0
-    c_err = 0.0
-    m_minus = 0.0
-    m_err = 0.0
-    for lo, hi, sign in part.intervals():
-        lo, hi = lo**alpha, hi**alpha
-        if math.isinf(hi):
-            res = integrate_halfline(f, lo, tol)
-        else:
-            res = integrate(f, lo, hi, tol)
-        if sign > 0:
-            c_upper += res.value
-            c_err += res.abs_error_estimate
-        else:
-            m_minus += res.value
-            m_err += res.abs_error_estimate
-
-    total = integrate_halfline(f, 0.0, tol)
+    intervals = part.intervals()
+    c_upper = math.fsum(integral(lo, hi) for lo, hi, s in intervals if s > 0)
+    m_minus = math.fsum(integral(lo, hi) for lo, hi, s in intervals if s < 0)
+    magnitude = math.fsum(abs(x) for row in terms for x in row)
+    bound = (n + 2) * math.ulp(1.0) * 0.5 * math.pi * magnitude
     closed = closed_form_total(params)
     residual = c_upper + m_minus - closed
-
-    combined = c_err + m_err + total.abs_error_estimate + 1e-12 * max(1.0, closed)
-    if m_minus > combined:
+    if abs(residual) > bound + 1e-12 * max(1.0, closed):
         raise ConstantsError(
-            f"negative-part integral is positive: {m_minus:.3e} > {combined:.3e}"
-        )
-    if c_upper < closed - combined:
-        raise ConstantsError(
-            f"C(n,alpha)={c_upper!r} fell below the closed-form total "
-            f"{closed!r} beyond the combined error {combined:.3e}"
-        )
-    if abs(residual) > combined:
-        raise ConstantsError(
-            f"decomposition residual {residual:.3e} exceeds combined "
-            f"quadrature error {combined:.3e}"
-        )
-    if abs(c_upper + m_minus - total.value) > combined:
-        raise ConstantsError(
-            "sign-interval sum disagrees with the direct half-line integral"
+            f"C + m_minus misses the closed-form total {closed!r} by "
+            f"{residual:.3e}, beyond the rounding bound {bound:.3e}"
         )
 
     return ConstantsReport(
@@ -147,7 +148,7 @@ def compute_constants(params: Params, tol: float = 1e-9) -> ConstantsReport:
         closed_form_total=closed,
         m_minus_integral=m_minus,
         decomposition_residual=residual,
-        total_integral=total,
-        c_upper_error=c_err,
-        m_minus_error=m_err,
+        total_integral=QuadResult(d[0] * 0.5 * math.pi, bound, 0),
+        c_upper_error=bound,
+        m_minus_error=bound,
     )

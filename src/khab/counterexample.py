@@ -22,8 +22,8 @@ so every eps in (0, 1] violates the conjectured bound while staying below
 the computed correction constant C(2, 2).
 
 :func:`verify` cross-checks the conclusion integral of :func:`lhs_integral`
-against the split route, the half-line total of :func:`compute_constants`
-plus delta_I, computing each integral once.
+against the split route, the closed-form total d_0 * pi/2 of
+:func:`compute_constants` plus delta_I, computing each integral once.
 """
 
 from __future__ import annotations
@@ -289,7 +289,7 @@ def verify(spec: CounterexampleSpec, tol: float = 1e-9) -> VerificationReport:
     """Assemble the full report, computing each integral once.
 
     ``lhs_cross_difference`` is :func:`lhs_integral` minus the split route,
-    the half-line total of :func:`compute_constants` plus :func:`delta_I`.
+    the total d_0 * pi/2 of :func:`compute_constants` plus :func:`delta_I`.
     A stage's domain errors are recorded in ``failures``; any other
     exception propagates.
     """

@@ -136,31 +136,26 @@ def transition_for(params: Params) -> TransitionFunction:
     return build_transition(params.n - 1, params.alpha)
 
 
-def _scaled_rational(
-    tf: TransitionFunction, scale: float, x: float, power: float
-) -> float:
-    """scale * z*P(z)/(1+z)^(order+2) at z = x**power, for x > 0, power > 0.
+def transition_eval(tf: TransitionFunction, t: float) -> float:
+    """Evaluate (4*alpha^2/t) * z * P(z) / (1+z)^(order+2) at z = t^(2*alpha).
 
-    For x > 1 the reciprocal form in w = x**-power = 1/z is used so that
+    For t > 1 the reciprocal form in w = t^(-2*alpha) = 1/z is used so that
     neither branch ever overflows:  z*P(z)/(1+z)^(n+2) = w*Prev(w)/(1+w)^(n+2)
     with Prev the coefficient-reversed polynomial.
     """
-    if x <= 1.0:
-        z = x**power
+    if not t > 0:
+        raise ValueError("transition_eval requires t > 0")
+    alpha = tf.alpha
+    scale = 4.0 * alpha * alpha / t
+    two_alpha = 2.0 * alpha
+    if t <= 1.0:
+        z = t**two_alpha
         return scale * z * tf.p_poly(z) / (1.0 + z) ** tf.exponent
-    w = x**-power
+    w = t**-two_alpha
     acc = 0.0
     for c in tf.p_poly.coeffs:  # Horner for the reversed polynomial
         acc = acc * w + c
     return scale * w * acc / (1.0 + w) ** tf.exponent
-
-
-def transition_eval(tf: TransitionFunction, t: float) -> float:
-    """Evaluate (4*alpha^2/t) * z * P(z) / (1+z)^(order+2) at z = t^(2*alpha)."""
-    if not t > 0:
-        raise ValueError("transition_eval requires t > 0")
-    alpha = tf.alpha
-    return _scaled_rational(tf, 4.0 * alpha * alpha / t, t, 2.0 * alpha)
 
 
 def sign_partition(tf: TransitionFunction, tol: float) -> SignPartition:

@@ -129,3 +129,72 @@ def positive_roots_mp(p_coeffs, dps=60):
             float(mp.re(r)) for r in found
             if mp.re(r) > 0 and abs(mp.im(r)) <= tiny * abs(r)
         )
+
+
+def transition_numerator_exact(order, alpha):
+    """P_order(alpha, z) as a sympy ``Poly`` in z, in exact arithmetic.
+
+    Built from the recurrence documented in ``khab.transition``,
+    Q_1 = -2a, Q_{m+1} = (1+z)(2a z Q_m' - m Q_m) - 2a m z Q_m and
+    P_n = (-1)^n / (2a n!) [(1+z) Q_{n+1}' - (n+1) Q_{n+1}], with ``alpha``
+    a sympy Symbol or Rational; it shares no float step with the package.
+    """
+    import sympy as sp
+
+    z = sp.Symbol("z")
+    q = sp.Poly(-2 * alpha, z)
+    zp = sp.Poly(z, z)
+    for m in range(1, order + 1):
+        inner = 2 * alpha * zp * q.diff(z) - m * q
+        q = (1 + zp) * inner - 2 * alpha * m * zp * q
+    bracket = (1 + zp) * q.diff(z) - (order + 1) * q
+    return sp.Poly(
+        sp.expand(bracket.as_expr() * (-1) ** order / (2 * alpha * sp.factorial(order))),
+        z,
+    )
+
+
+def constants_exact_mp(n, alpha, dps=40):
+    """(C, m_minus) of Phi_{n-1}(alpha, .) from the exact numerator, as mpf.
+
+    The numerator comes from :func:`transition_numerator_exact` at the exact
+    rational value of ``alpha``, its positive roots from sympy's exact real
+    root isolation refined to 1e-30, and each sign interval is one
+    ``mp.quad`` of the trigonometric polynomial
+    4a sum_k p_k sin^(2k+2) cos^(2(n-1-k)) in theta = arctan(sqrt(z)).  It
+    uses no float coefficient, root or matrix of the package.
+    """
+    import sympy as sp
+
+    a = sp.Rational(alpha)
+    poly = transition_numerator_exact(n - 1, a)
+    roots = [
+        (lo + hi) / 2
+        for (lo, hi), _ in poly.intervals(eps=sp.Rational(1, 10**30))
+        if lo >= 0
+    ]
+    with mp.workdps(dps):
+        def to_mp(r):
+            return mp.mpf(int(r.p)) / int(r.q)
+
+        coeffs = [to_mp(c) for c in poly.all_coeffs()[::-1]]
+        am = to_mp(a)
+
+        def integrand(theta):
+            s, c = mp.sin(theta), mp.cos(theta)
+            return 4 * am * sum(
+                pk * s ** (2 * k + 2) * c ** (2 * (n - 1 - k))
+                for k, pk in enumerate(coeffs)
+            )
+
+        edges = [mp.mpf(0)] + [mp.atan(mp.sqrt(to_mp(r))) for r in roots]
+        edges.append(mp.pi / 2)
+        c_upper = mp.mpf(0)
+        m_minus = mp.mpf(0)
+        for lo, hi in zip(edges, edges[1:]):
+            val = mp.quad(integrand, [lo, hi])
+            if val >= 0:
+                c_upper += val
+            else:
+                m_minus += val
+        return c_upper, m_minus

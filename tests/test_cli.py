@@ -265,13 +265,12 @@ class TestTolerancePlumbing:
         assert _default_tol() == 1e-9
 
     def test_env_tol_used_by_command(self, capsys, monkeypatch):
-        monkeypatch.setenv("KHAB_TOL", "1e-5")
-        code, out, _ = run(
-            capsys, ["constants", "--n", "2", "--alpha", "2", "--format", "json"]
-        )
-        assert code == 0
-        data = json.loads(out)
-        assert data["c_upper"] == pytest.approx(19.65507202, abs=1e-4)
+        # a tolerance below rounding cannot be met: the value reached the
+        # quadrature of the bridge identity
+        monkeypatch.setenv("KHAB_TOL", "1e-16")
+        code, _, err = run(capsys, ["identity", "--n", "2", "--alpha", "2"])
+        assert code == 1
+        assert "quadrature failure" in err
 
     def test_bad_tol_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

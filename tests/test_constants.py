@@ -1,12 +1,31 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
+import mpmath as mp
 import pytest
+import sympy
 
-from _oracles import constants_mp
-from khab.constants import ConstantsError, closed_form_total, compute_constants
+import khab.constants as constants
+from _oracles import constants_exact_mp, constants_mp, transition_numerator_exact
+from khab.constants import (
+    ConstantsError,
+    _cos_matrix,
+    closed_form_total,
+    compute_constants,
+)
 from khab.counterexample import CounterexampleSpec, lhs_integral
 from khab.quad import integrate_halfline
-from khab.transition import Params, build_transition, sign_partition, transition_eval
+from khab.poly import Polynomial
+from khab.transition import (
+    Params,
+    TransitionFunction,
+    build_transition,
+    sign_partition,
+    transition_eval,
+)
 
 C22 = 19.65507202058854
 
@@ -102,6 +121,117 @@ class TestAccuracy:
         assert abs(rep.m_minus_integral - m_ref) <= (
             rep.m_minus_error + 1e-12 * abs(m_ref)
         )
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_d0_is_the_closed_form_in_alpha(self, n):
+        # the constant Fourier coefficient d_0 = 4a (M_n p)_0 of the exact
+        # numerator is 2a prod_{k<n}(1 + a/k) identically in a
+        a = sympy.Symbol("a")
+        p = transition_numerator_exact(n - 1, a).all_coeffs()[::-1]
+        row = [sympy.Rational(m) for m in _cos_matrix(n)[0]]
+        d0 = 4 * a * sum(m * c for m, c in zip(row, p))
+        target = 2 * a * sympy.prod([1 + a / k for k in range(1, n)])
+        assert sympy.expand(d0 - target) == 0
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cos_matrix_against_quadrature(self, n):
+        # M[j][k] is the cos(2 j theta) Fourier coefficient of
+        # sin^(2k+2) cos^(2(n-1-k)) on (0, pi/2)
+        matrix = _cos_matrix(n)
+        with mp.workdps(30):
+            for j in range(n + 1):
+                weight = (2 if j == 0 else 4) / mp.pi
+                for k in range(n):
+                    ref = weight * mp.quad(
+                        lambda t: mp.sin(t) ** (2 * k + 2)
+                        * mp.cos(t) ** (2 * (n - 1 - k))
+                        * mp.cos(2 * j * t),
+                        [0, mp.pi / 2],
+                    )
+                    assert abs(matrix[j][k] - ref) <= 1e-15
+
+    def test_c22_against_reference(self):
+        # bench/reference/values.json, 30 digits without khab code
+        rep = compute_constants(Params(2, 2.0), 1e-9)
+        assert abs(rep.c_upper - 19.65507202058853963) <= 1e-15 * 19.66
+
+    @pytest.mark.parametrize(
+        "n, alpha",
+        [(4, 20.0), (5, 10.0), (7, 5.0), (10, 3.7), (15, 3.0), (8, 20.0),
+         (10, 5.0), (3, 50.0)],
+    )
+    def test_former_panel_budget_cases(self, n, alpha):
+        # each of these once exhausted the 20,000-panel quadrature budget
+        rep = compute_constants(Params(n, alpha), 1e-9)
+        c_ref, m_ref = constants_mp(build_transition(n - 1, alpha).p_poly.coeffs, alpha)
+        c_ref, m_ref = float(c_ref), float(m_ref)
+        assert abs(rep.c_upper - c_ref) <= rep.c_upper_error + 1e-12 * abs(c_ref)
+        assert abs(rep.m_minus_integral - m_ref) <= (
+            rep.m_minus_error + 1e-12 * abs(m_ref)
+        )
+
+    @pytest.mark.parametrize("n, alpha", [(14, 30.0), (20, 1.0)])
+    def test_against_exact_numerator(self, n, alpha):
+        # at (14, 30) C ~ -m_minus ~ 6.1e18 against a total of 3.4e12: the
+        # residual is far above 1e-12 of the total, and C is still right
+        rep = compute_constants(Params(n, alpha), 1e-9)
+        c_ref, m_ref = constants_exact_mp(n, alpha)
+        assert abs(rep.c_upper - float(c_ref)) <= rep.c_upper_error
+        assert abs(rep.m_minus_integral - float(m_ref)) <= rep.m_minus_error
+
+    def test_drifted_numerator_fails_the_certificate(self, monkeypatch):
+        tf = build_transition(2, 2.0)
+        drifted = TransitionFunction(
+            tf.order, tf.alpha, Polynomial(tuple(c * (1 + 1e-9) for c in tf.p_poly.coeffs))
+        )
+        monkeypatch.setattr(constants, "transition_for", lambda params: drifted)
+        with pytest.raises(ConstantsError, match="closed-form total"):
+            compute_constants(Params(3, 2.0), 1e-9)
+
+    def test_total_is_d0_half_pi(self):
+        rep = compute_constants(Params(3, 2.0), 1e-9)
+        assert rep.total_integral.value == pytest.approx(12.0 * math.pi, rel=1e-15)
+        assert rep.total_integral.subdivisions == 0
+
+    def test_sweep_returns(self):
+        # n = 1..25 x alpha in 0.01..100 in one child process under one
+        # wall-clock bound; every case returns its constants, none raises
+        import khab
+
+        alphas = (0.01, 0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0)
+        cases = [(n, a) for n in range(1, 26) for a in alphas]
+        child = "\n".join([
+            "import json",
+            "from khab.constants import compute_constants",
+            "from khab.transition import Params",
+            "out = []",
+            f"for n, a in {cases!r}:",
+            "    try:",
+            "        rep = compute_constants(Params(n, a), 1e-9)",
+            "        out.append([rep.c_upper, rep.c_upper_error])",
+            "    except Exception as exc:",
+            "        out.append(type(exc).__name__)",
+            "print(json.dumps(out))",
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(khab.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", child],
+                env=env, capture_output=True, text=True, timeout=30,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("the 225 sweep cases did not finish within 30 s")
+        assert done.returncode == 0, done.stderr
+        results = dict(zip(cases, json.loads(done.stdout)))
+        raised = {case: r for case, r in results.items() if isinstance(r, str)}
+        assert raised == {}
+        for (n, a), (c, err) in results.items():
+            assert closed_form_total(Params(n, a)) <= c + err
+            assert err <= 1e-8 * c
 
 
 class TestRootIntegralConsistency:

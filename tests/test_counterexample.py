@@ -283,19 +283,18 @@ class TestVerify:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for module in (ce, constants):
-            counting(module, "integrate_halfline")
+        counting(ce, "integrate_halfline")
         counting(ce, "delta_I")
         counting(ce, "compute_constants")
         rep = verify(CounterexampleSpec(1.0))
         assert rep.failures == ()
-        # one direct conclusion integral, and compute_constants' last sign
-        # interval and half-line total
+        # one direct conclusion integral; compute_constants is closed-form
         assert calls == {
             "delta_I": 1,
             "compute_constants": 1,
-            "integrate_halfline": 3,
+            "integrate_halfline": 1,
         }
+        assert not {"integrate", "integrate_halfline"} & set(vars(constants))
 
     def test_program_error_propagates(self, monkeypatch):
         import khab.counterexample as ce
