@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -165,8 +166,11 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     if args.command == "transition" and args.t:
         if any(t <= 0 for t in args.t):
             parser.error("--t must be > 0")
-    if args.command == "convert" and args.direct and not args.t:
-        parser.error("--direct requires at least one --t")
+    if args.command == "convert" and args.direct:
+        if not args.t:
+            parser.error("--direct requires at least one --t")
+        if not all(math.isfinite(t) and t > 0 for t in args.t):
+            parser.error("--t must be finite and > 0")
     if args.command == "plotdata":
         if args.points < 0:
             parser.error("--points must be >= 0")

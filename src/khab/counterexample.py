@@ -135,10 +135,9 @@ def analyze_R() -> ExtremaReport:
     tau_max, tau_min = crits[0], crits[1]
     candidates = [0.0, tau_max, tau_min, 1.0]
     max_r3 = max(_R3(c) for c in candidates)
-    # R = R3*tau <= tau <= 1 once R3 <= 1 certified on the segment
-    bounded = max_r3 <= 1.0 and all(
-        _R(k / 1000.0) <= 1.0 + 1e-12 for k in range(1001)
-    )
+    # a cubic peaks on [0, 1] at an end or a critical point, so max_r3 bounds
+    # R3 there; then R = R3*tau <= max(R3, 0) <= 1 for tau in [0, 1]
+    bounded = max_r3 <= 1.0
     return ExtremaReport(
         tau_max=tau_max,
         tau_min=tau_min,
@@ -188,12 +187,16 @@ def check_premise(
     """
     if grid is None:
         grid = default_premise_grid(spec.t0)
+    if not grid:
+        raise ValueError("check_premise requires a nonempty grid")
     g = build_g(spec)
     q = build_q(spec)
     converted = [exact_direct_convert(q, spec.params.n, t) for t in grid]
     analytic_ok = all(_premise_holds(t, g(t)) for t in grid)
     numeric_ok = all(map(_premise_holds, grid, converted))
-    worst = min((t - v / t for t, v in zip(grid, converted)), default=math.inf)
+    # (t*t - G)/t rather than t - G/t: the margin is then zero wherever G
+    # rounds to t*t, the bound _premise_holds compares against
+    worst = min((t * t - v) / t for t, v in zip(grid, converted))
     ok = analytic_ok and numeric_ok
     return PremiseReport(ok, worst, analytic_ok, numeric_ok, len(grid))
 
@@ -221,16 +224,28 @@ def delta_I(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
 
 def lhs_integral(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
     """Conclusion integral of q against the log weight, by adaptive
-    half-line quadrature of q(t) ln(1 + t^(-2a)).
+    quadrature of q(t) ln(1 + t^(-2a)).
 
-    :func:`verify` cross-checks it against the split route.
+    The range is split at q's breakpoints, where q has a kink, with ``tol``
+    shared equally: (0, b1), ..., (b_{k-1}, b_k) finite, then the half-line
+    from b_k.  :func:`verify` cross-checks it against the split route.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     q = build_q(spec)
     two_alpha = 2.0 * spec.params.alpha
-    return integrate_halfline(
-        lambda t: q(t) * _log_weight(t, two_alpha), 0.0, tol
+
+    def f(t: float) -> float:
+        return q(t) * _log_weight(t, two_alpha)
+
+    edges = (0.0, *q.breakpoints)
+    share = tol / len(edges)
+    parts = [integrate(f, a, b, share) for a, b in zip(edges, edges[1:])]
+    parts.append(integrate_halfline(f, edges[-1], share))
+    return QuadResult(
+        math.fsum(p.value for p in parts),
+        math.fsum(p.abs_error_estimate for p in parts),
+        sum(p.subdivisions for p in parts),
     )
 
 

@@ -195,6 +195,15 @@ class TestConvertCommand:
             main(["convert", "--direct", "--n", "2", "--input", str(q_file)])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("t", ["inf", "0"])
+    def test_direct_t_not_finite_positive_is_usage_error(self, capsys, tmp_path, t):
+        q_file = tmp_path / "q.json"
+        q_file.write_text(json.dumps({"breakpoints": [], "pieces": [[0, 12]]}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["convert", "--direct", "--n", "2", "--input", str(q_file), "--t", t])
+        assert excinfo.value.code == 2
+        assert "--t must be finite and > 0" in capsys.readouterr().err
+
     def test_missing_file_is_runtime_error(self, capsys):
         code, _, err = run(
             capsys, ["convert", "--inverse", "--n", "2", "--input", "/nonexistent.json"]

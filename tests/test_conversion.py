@@ -3,17 +3,26 @@ import math
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from khab.conversion import (
     PiecewisePolynomial,
     RoundTripReport,
     SmoothnessError,
+    _direct_table,
     direct_convert,
     exact_direct_convert,
     inverse_convert,
     roundtrip_check,
 )
-from khab.counterexample import CounterexampleSpec, build_g, build_h, build_q
+from khab.counterexample import (
+    CounterexampleSpec,
+    build_g,
+    build_h,
+    build_q,
+    default_premise_grid,
+)
 from khab.poly import Polynomial
 from khab.transition import Params
 
@@ -213,3 +222,58 @@ class TestExactDirect:
     def test_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
             exact_direct_convert(global_poly(T_SQ), 2, 0.0)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite_t(self, t):
+        with pytest.raises(ValueError, match="finite t > 0"):
+            exact_direct_convert(global_poly(T_SQ), 2, t)
+
+    def test_equal_valued_q_bit_identical(self):
+        q1 = build_q(CounterexampleSpec(0.3))
+        q2 = build_q(CounterexampleSpec(0.3))
+        assert q1 == q2 and q1 is not q2
+        ts = [*default_premise_grid(), *q1.breakpoints]
+        first = [exact_direct_convert(q1, 2, t).hex() for t in ts]
+        assert [exact_direct_convert(q2, 2, t).hex() for t in ts] == first
+        # a table rebuilt from the other object gives the same bits
+        _direct_table.cache_clear()
+        assert [exact_direct_convert(q2, 2, t).hex() for t in ts] == first
+
+
+@st.composite
+def piecewise_q(draw):
+    """0-3 breakpoints log-uniform in [10^-1.5, 10^1.5], pieces of degree <= 4."""
+    exps = draw(st.lists(st.floats(-1.5, 1.5), max_size=3, unique=True))
+    bps = tuple(sorted(10.0**e for e in exps))
+    assume(all(b2 > b1 for b1, b2 in zip(bps, bps[1:])))
+    coeff = st.floats(-5.0, 5.0, allow_nan=False)
+    pieces = tuple(
+        Polynomial(tuple(draw(st.lists(coeff, max_size=5))))
+        for _ in range(len(bps) + 1)
+    )
+    return PiecewisePolynomial(bps, pieces)
+
+
+@given(
+    q=piecewise_q(),
+    n=st.integers(1, 6),
+    exps=st.lists(st.floats(-3.0, 6.0), min_size=1, max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_exact_direct_matches_quadrature(q, n, exps):
+    # t - on a random interval or exactly at a breakpoint, which belongs to
+    # the piece on its right - against the quadrature oracle.  The scale is
+    # t * sum_j |c_j| t^j summed over the pieces that start at or below t,
+    # a bound on the integral of A_{n-1}(y/t) |q(y)| over (0, t), since
+    # A_{n-1} >= 0 integrates to t/n <= t there.
+    tol = 1e-10
+    params = Params(n, 1.0)
+    for t in [*(10.0**e for e in exps), *q.breakpoints]:
+        live = q.pieces[: q.piece_index(t) + 1]
+        scale = max(
+            1.0,
+            t * sum(abs(c) * t**j for p in live for j, c in enumerate(p.coeffs)),
+        )
+        exact = exact_direct_convert(q, n, t)
+        quad = direct_convert(q, params, t, tol * scale)
+        assert abs(exact - quad) <= 20.0 * tol * scale

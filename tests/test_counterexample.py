@@ -179,6 +179,16 @@ class TestPremise:
         failing = [e for e in eps_grid if not check_premise(CounterexampleSpec(e)).ok]
         assert failing == []
 
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
+    def test_worst_margin_at_rounding_level(self, eps):
+        # the premise is tight (G = t^2) past t0, so the least margin on the
+        # default grid is zero up to the rounding of G
+        assert check_premise(CounterexampleSpec(eps)).worst_margin >= -1e-13
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="nonempty grid"):
+            check_premise(CounterexampleSpec(1.0), grid=[])
+
     def test_numeric_route_catches_bad_conversion(self, monkeypatch):
         # a q whose direct conversion overshoots t^2 beyond t0 breaks the
         # premise; the profile g alone cannot see it
@@ -229,6 +239,13 @@ class TestLhs:
     def test_zero_deformation_gives_closed_form_total(self):
         rep = lhs_integral(CounterexampleSpec(0.0), 1e-9)
         assert rep.value == pytest.approx(SIX_PI, abs=1e-8)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.001, 0.145, 0.5, 1.0])
+    def test_split_at_kink_meets_closed_form(self, eps):
+        # 6 pi + eps * delta_I(1) is exact; split at q's kink at t0 the
+        # quadrature meets it far inside its 1e-9 tolerance
+        rep = lhs_integral(CounterexampleSpec(eps), 1e-9)
+        assert abs(rep.value - (SIX_PI + eps * DELTA_I_1)) <= 2e-12
 
 
 class TestVerify:
