@@ -5,18 +5,15 @@ counterexample family at n = 2, alpha = 2."""
 from .constants import ConstantsReport, closed_form_total, compute_constants
 from .conversion import (
     PiecewisePolynomial,
-    RoundTripReport,
     SmoothnessError,
     direct_convert,
     exact_direct_convert,
     inverse_convert,
-    roundtrip_check,
 )
 from .counterexample import (
     T0,
     CounterexampleSpec,
     ExtremaReport,
-    GluingError,
     VerificationReport,
     analyze_R,
     build_g,
@@ -47,7 +44,6 @@ __all__ = [
     "ConstantsReport",
     "CounterexampleSpec",
     "ExtremaReport",
-    "GluingError",
     "KernelSpec",
     "Params",
     "PiecewisePolynomial",
@@ -55,7 +51,6 @@ __all__ = [
     "QuadResult",
     "QuadratureError",
     "RootCertificationError",
-    "RoundTripReport",
     "SignPartition",
     "SmoothnessError",
     "T0",
@@ -82,7 +77,6 @@ __all__ = [
     "lhs_integral",
     "phi_derivative_poly",
     "positive_roots",
-    "roundtrip_check",
     "sign_partition",
     "transition_eval",
     "transition_for",

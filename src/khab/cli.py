@@ -7,8 +7,11 @@ verification of the deformation family), ``identity`` (the bridge between
 premise and conclusion weights), ``convert`` (direct/inverse conversion of
 piecewise polynomials as JSON), and ``plotdata`` (CSV curves).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Numeric text
-output prints 10 significant digits; JSON floats round-trip bit-exactly.
+Exit codes: 0 success, 1 verification failure or a stage that cannot
+compute, 2 usage error.  ``--alpha``, ``--tol``, ``--t`` and ``--y`` must be
+finite and > 0, and ``plotdata --from/--to`` finite.  Numeric text output
+prints 10 significant digits; JSON floats round-trip bit-exactly, and JSON
+output never holds NaN or infinity.
 The default tolerance is 1e-9, overridable by the KHAB_TOL environment
 variable and per-run by ``--tol``; ``constants``, ``convert`` and
 ``plotdata`` compute in closed form and ignore it.
@@ -55,12 +58,16 @@ def _fmt(x: float) -> str:
     return format(x, ".10g")
 
 
+def _finite_positive(x: float) -> bool:
+    return math.isfinite(x) and x > 0
+
+
 def _default_tol() -> float:
     try:
         tol = float(os.environ.get("KHAB_TOL", "1e-9"))
     except ValueError:
         return 1e-9
-    return tol if tol > 0 else 1e-9
+    return tol if _finite_positive(tol) else 1e-9
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -151,31 +158,27 @@ def _build_parser() -> argparse.ArgumentParser:
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     if getattr(args, "n", 1) < 1:
         parser.error("--n must be >= 1")
-    if getattr(args, "alpha", 1.0) <= 0:
-        parser.error("--alpha must be > 0")
+    if not _finite_positive(getattr(args, "alpha", 1.0)):
+        parser.error("--alpha must be finite and > 0")
     eps = getattr(args, "epsilon", 0.0)
     if not 0.0 <= eps <= 1.0:
         parser.error("--epsilon must lie in [0, 1]")
     if args.tol is None:
         args.tol = _default_tol()
-    if args.tol <= 0:
-        parser.error("--tol must be > 0")
-    if args.command == "identity" and args.y:
-        if any(y <= 0 for y in args.y):
-            parser.error("--y must be > 0")
-    if args.command == "transition" and args.t:
-        if any(t <= 0 for t in args.t):
-            parser.error("--t must be > 0")
-    if args.command == "convert" and args.direct:
-        if not args.t:
-            parser.error("--direct requires at least one --t")
-        if not all(math.isfinite(t) and t > 0 for t in args.t):
-            parser.error("--t must be finite and > 0")
+    if not _finite_positive(args.tol):
+        parser.error("--tol must be finite and > 0")
+    if args.command == "convert" and args.direct and not args.t:
+        parser.error("--direct requires at least one --t")
+    for flag in ("t", "y"):
+        if not all(map(_finite_positive, getattr(args, flag, None) or ())):
+            parser.error(f"--{flag} must be finite and > 0")
     if args.command == "plotdata":
         if args.points < 0:
             parser.error("--points must be >= 0")
         lo = args.lo if args.lo is not None else _PLOT_DEFAULTS[args.kind][0]
         hi = args.hi if args.hi is not None else _PLOT_DEFAULTS[args.kind][1]
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            parser.error("--from and --to must be finite")
         if hi < lo:
             parser.error("--to must be >= --from")
         if args.kind == "transition" and lo <= 0:
@@ -184,7 +187,7 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
 
 
 def _emit_json(data: dict) -> None:
-    print(json.dumps(data, indent=2))
+    print(json.dumps(data, indent=2, allow_nan=False))
 
 
 def _cmd_transition(args) -> int:
@@ -232,9 +235,7 @@ def _cmd_constants(args) -> int:
 def _render_counterexample(args, as_json: bool) -> int:
     spec = CounterexampleSpec(args.epsilon)
     rep = verify(spec, args.tol)
-    verified = rep.premise_ok and rep.bound_ok and not rep.failures and (
-        spec.epsilon == 0.0 or rep.violated
-    )
+    verified = not rep.failures and (spec.epsilon == 0.0 or rep.violated)
     if as_json:
         _emit_json(rep.to_dict())
     else:
@@ -310,7 +311,7 @@ def _cmd_convert(args) -> int:
         pw = PiecewisePolynomial.from_dict(json.load(fh))
     if args.inverse:
         q = inverse_convert(pw, args.n)
-        print(json.dumps(q.to_dict(), indent=2))
+        _emit_json(q.to_dict())
         return 0
     rows = [(t, exact_direct_convert(pw, args.n, t)) for t in args.t]
     if args.format == "json":

@@ -32,7 +32,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 from .kernel import KernelSpec, kernel_eval
 from .poly import Polynomial
@@ -213,36 +213,3 @@ def exact_direct_convert(q: PiecewisePolynomial, n: int, t: float) -> float:
         tail = (tail + dk) * inv
     return poly * t + a + b * math.log(t) - tail
 
-
-@dataclass(frozen=True)
-class RoundTripReport:
-    """Quadrature vs closed-form direct conversion on a grid."""
-
-    points: tuple[float, ...]
-    quadrature_values: tuple[float, ...]
-    exact_values: tuple[float, ...]
-    max_deviation: float
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        """Both routes agree within 20 * tol."""
-        return self.max_deviation <= 20.0 * self.tol
-
-
-def roundtrip_check(
-    q: PiecewisePolynomial,
-    n: int,
-    grid: Sequence[float],
-    tol: float,
-) -> RoundTripReport:
-    """Convert q both ways at each grid point and report the worst gap.
-
-    An empty grid passes trivially with zero deviation.
-    """
-    params = Params(n, 1.0)  # direct_convert reads only n
-    pts = tuple(grid)
-    quad_vals = tuple(direct_convert(q, params, t, tol) for t in pts)
-    exact_vals = tuple(exact_direct_convert(q, n, t) for t in pts)
-    worst = max((abs(a - b) for a, b in zip(quad_vals, exact_vals)), default=0.0)
-    return RoundTripReport(pts, quad_vals, exact_vals, worst, tol)

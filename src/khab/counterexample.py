@@ -21,28 +21,26 @@ the conclusion integral evaluates to
 so every eps in (0, 1] violates the conjectured bound while staying below
 the computed correction constant C(2, 2).
 
-:func:`verify` cross-checks the conclusion integral of :func:`lhs_integral`
-against the split route, the closed-form total d_0 * pi/2 of
-:func:`compute_constants` plus delta_I, computing each integral once.
+The pair (n, alpha) = (2, 2) and t0 are fixed; eps is the only input.
+The C^3 gluing at t0 is checked once, by :func:`inverse_convert` in
+:func:`build_q`, and the premise once, on q.  :func:`verify` cross-checks
+the conclusion integral of :func:`lhs_integral` against the split route,
+the closed-form total d_0 * pi/2 of :func:`compute_constants` plus
+delta_I, computing each integral once.  A stage that cannot compute
+raises; the report's failures are verdicts only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import ClassVar, Sequence
 
-from .constants import ConstantsError, closed_form_total, compute_constants
+from .constants import compute_constants
 from .conversion import PiecewisePolynomial, exact_direct_convert, inverse_convert
-from .poly import Polynomial, RootCertificationError, positive_roots
-from .quad import QuadratureError, QuadResult, integrate, integrate_halfline
-from .transition import (
-    Params,
-    TemplateMatchError,
-    _log_weight,
-    transition_eval,
-    transition_for,
-)
+from .poly import Polynomial, positive_roots
+from .quad import QuadResult, integrate, integrate_halfline
+from .transition import Params, _log_weight, transition_eval, transition_for
 
 T0 = 0.6**0.25  # positive root of 5 t^4 - 3
 
@@ -50,34 +48,17 @@ _R3 = Polynomial((-2.0, 16.0, -34.0, 21.0))
 _R = _R3.shift_up(1)  # R(tau) = R3(tau) * tau
 
 
-class GluingError(RuntimeError):
-    """The spline profile failed its derivative-matching conditions."""
-
-
-# failures of a stage that verify records instead of raising
-_STAGE_ERRORS = (
-    QuadratureError,
-    RootCertificationError,
-    ConstantsError,
-    TemplateMatchError,
-    GluingError,
-    ValueError,
-)
-
-
 @dataclass(frozen=True)
 class CounterexampleSpec:
     """Deformation size eps in [0, 1] at the fixed pair n = 2, alpha = 2."""
 
     epsilon: float = 1.0
-    params: Params = field(default_factory=lambda: Params(2, 2.0))
-    t0: float = T0
+    params: ClassVar[Params] = Params(2, 2.0)
+    t0: ClassVar[float] = T0
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in [0, 1]")
-        if abs(5.0 * self.t0**4 - 3.0) > 1e-12:
-            raise ValueError("t0 must satisfy 5 t0^4 - 3 = 0 within 1e-12")
 
 
 def build_h(t0: float) -> Polynomial:
@@ -97,20 +78,21 @@ def build_r(t0: float) -> Polynomial:
 
 
 def build_g(spec: CounterexampleSpec) -> PiecewisePolynomial:
-    """The spline profile; raises :class:`GluingError` if the pieces fail
-    to join three-times differentiably at t0."""
+    """The spline profile: t^2 (1 - eps h) on (0, t0), t^2 beyond.
+
+    Its gluing at t0 is checked by :func:`build_q`, not here.
+    """
     t_sq = Polynomial((0.0, 0.0, 1.0))
     deformed = t_sq - spec.epsilon * (t_sq * build_h(spec.t0))
-    g = PiecewisePolynomial((spec.t0,), (deformed, t_sq))
-    try:
-        g.check_smoothness(3)
-    except ValueError as exc:
-        raise GluingError(str(exc)) from exc
-    return g
+    return PiecewisePolynomial((spec.t0,), (deformed, t_sq))
 
 
 def build_q(spec: CounterexampleSpec) -> PiecewisePolynomial:
-    """Inverse conversion of the spline profile (order n = 2)."""
+    """Inverse conversion of the spline profile (order n = 2).
+
+    :func:`inverse_convert` requires g to be C^3 at t0 and raises
+    :class:`SmoothnessError`, naming the order, if the pieces fail to join.
+    """
     return inverse_convert(build_g(spec), spec.params.n)
 
 
@@ -159,13 +141,10 @@ def default_premise_grid(t0: float = T0) -> list[float]:
 
 @dataclass(frozen=True)
 class PremiseReport:
-    """Dual premise check: bounds on the profile and on its reconversion."""
+    """Premise check on G, the direct conversion of q, along a grid."""
 
     ok: bool
     worst_margin: float
-    analytic_ok: bool
-    numeric_ok: bool
-    grid_size: int
 
 
 def _premise_holds(t: float, value: float) -> bool:
@@ -177,28 +156,23 @@ def _premise_holds(t: float, value: float) -> bool:
 def check_premise(
     spec: CounterexampleSpec, grid: Sequence[float] | None = None
 ) -> PremiseReport:
-    """Check the premise 0 <= g(t) <= t^2 along a grid of t values.
+    """Check the premise 0 <= G(t) <= t^2 on q along a grid of t values.
 
-    Analytic route: g from the profile polynomials.  Numeric route: the same
-    bound on G, the closed-form direct conversion of q = inverse_convert(g).
-    G = g is exactly the claim under test, not an axiom, and the closed
-    form shares no step with :func:`inverse_convert`, so it can refute it.
+    G is the closed-form direct conversion of q = :func:`build_q`.  G = g
+    is the claim under test, not an axiom, and the closed form shares no
+    step with :func:`inverse_convert`, so it can refute it.
     ``worst_margin`` is the least t - G(t)/t.
     """
     if grid is None:
         grid = default_premise_grid(spec.t0)
     if not grid:
         raise ValueError("check_premise requires a nonempty grid")
-    g = build_g(spec)
     q = build_q(spec)
     converted = [exact_direct_convert(q, spec.params.n, t) for t in grid]
-    analytic_ok = all(_premise_holds(t, g(t)) for t in grid)
-    numeric_ok = all(map(_premise_holds, grid, converted))
     # (t*t - G)/t rather than t - G/t: the margin is then zero wherever G
     # rounds to t*t, the bound _premise_holds compares against
     worst = min((t * t - v) / t for t, v in zip(grid, converted))
-    ok = analytic_ok and numeric_ok
-    return PremiseReport(ok, worst, analytic_ok, numeric_ok, len(grid))
+    return PremiseReport(all(map(_premise_holds, grid, converted)), worst)
 
 
 def delta_I(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
@@ -305,73 +279,44 @@ def verify(spec: CounterexampleSpec, tol: float = 1e-9) -> VerificationReport:
 
     ``lhs_cross_difference`` is :func:`lhs_integral` minus the split route,
     the total d_0 * pi/2 of :func:`compute_constants` plus :func:`delta_I`.
-    A stage's domain errors are recorded in ``failures``; any other
-    exception propagates.
+    ``failures`` lists the verdicts that go against the counterexample:
+    premise violated, delta_I not positive, routes disagreeing, or the
+    bound C(n, alpha) exceeded.  A stage that cannot compute raises.
     """
+    premise = check_premise(spec)
+    lhs = lhs_integral(spec, tol)
+    excess = delta_I(spec, tol)
+    consts = compute_constants(spec.params, tol)
+    total = consts.total_integral
+    cross = lhs.value - (total.value + excess.value)
+    bound_ok = lhs.value <= consts.c_upper + (
+        lhs.abs_error_estimate + consts.c_upper_error
+    )
+
     failures: list[str] = []
-
-    premise_ok = False
-    worst_margin = math.nan
-    try:
-        premise = check_premise(spec)
-        premise_ok = premise.ok
-        worst_margin = premise.worst_margin
-        if not premise.ok:
-            failures.append("premise inequality violated on the check grid")
-    except _STAGE_ERRORS as exc:
-        failures.append(f"premise check failed: {exc}")
-
-    lhs = QuadResult(math.nan, math.inf, 1)
-    try:
-        lhs = lhs_integral(spec, tol)
-    except _STAGE_ERRORS as exc:
-        failures.append(f"conclusion integral failed: {exc}")
-
-    excess = QuadResult(math.nan, math.inf, 1)
-    try:
-        excess = delta_I(spec, tol)
-        if spec.epsilon > 0 and not excess.value > 0:
-            failures.append("delta_I is not positive")
-    except _STAGE_ERRORS as exc:
-        failures.append(f"delta_I failed: {exc}")
-
-    rhs = closed_form_total(spec.params)
-
-    cross = math.nan
-    c_upper = math.nan
-    bound_ok = False
-    try:
-        consts = compute_constants(spec.params, tol)
-    except _STAGE_ERRORS as exc:
-        failures.append(f"constants computation failed: {exc}")
-    else:
-        total = consts.total_integral
-        cross = lhs.value - (total.value + excess.value)
-        if abs(cross) > 10.0 * (
-            lhs.abs_error_estimate
-            + total.abs_error_estimate
-            + excess.abs_error_estimate
-        ) + 1e-12 * abs(lhs.value):
-            failures.append(
-                f"conclusion-integral routes disagree by {cross:.3e}"
-            )
-        c_upper = consts.c_upper
-        bound_ok = lhs.value <= c_upper + (
-            lhs.abs_error_estimate + consts.c_upper_error
-        )
-        if not bound_ok:
-            failures.append("conclusion integral exceeds C(n, alpha)")
+    if not premise.ok:
+        failures.append("premise inequality violated on the check grid")
+    if spec.epsilon > 0 and not excess.value > 0:
+        failures.append("delta_I is not positive")
+    if abs(cross) > 10.0 * (
+        lhs.abs_error_estimate
+        + total.abs_error_estimate
+        + excess.abs_error_estimate
+    ) + 1e-12 * abs(lhs.value):
+        failures.append(f"conclusion-integral routes disagree by {cross:.3e}")
+    if not bound_ok:
+        failures.append("conclusion integral exceeds C(n, alpha)")
 
     return VerificationReport(
         spec=spec,
-        premise_ok=premise_ok,
-        premise_worst_margin=worst_margin,
+        premise_ok=premise.ok,
+        premise_worst_margin=premise.worst_margin,
         lhs_integral=lhs,
         lhs_cross_difference=cross,
-        rhs_conjecture=rhs,
+        rhs_conjecture=consts.closed_form_total,
         delta_I=excess,
-        c_upper=c_upper,
-        violation_margin=lhs.value - rhs,
+        c_upper=consts.c_upper,
+        violation_margin=lhs.value - consts.closed_form_total,
         bound_ok=bound_ok,
         failures=tuple(failures),
     )

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from khab.cli import _default_tol, main
+from khab.cli import _default_tol, _emit_json, main
 from khab.counterexample import CounterexampleSpec, verify
 
 T0 = 0.6**0.25
@@ -39,9 +39,19 @@ class TestTransitionCommand:
         assert data["values"][0]["phi"] == pytest.approx(4.0)
 
     def test_usage_error_on_bad_alpha(self, capsys):
+        for alpha in ("-1", "inf", "nan"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["transition", "--alpha", alpha])
+            assert excinfo.value.code == 2
+            assert "--alpha must be finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t", ["inf", "nan"])
+    def test_t_not_finite_is_usage_error(self, capsys, t):
+        # JSON has no token for inf or nan: the value must stop at the parser
         with pytest.raises(SystemExit) as excinfo:
-            main(["transition", "--alpha", "-1"])
+            main(["transition", "--t", t, "--format", "json"])
         assert excinfo.value.code == 2
+        assert "--t must be finite and > 0" in capsys.readouterr().err
 
 
 class TestConstantsCommand:
@@ -121,6 +131,15 @@ class TestVerificationFailureExit:
         assert code == 1
         assert "quadrature failure" in err
 
+    def test_counterexample_stage_failure_is_not_a_verdict(self, capsys):
+        # the tolerance cannot be met: verify raises at the first stage that
+        # fails, so no report with NaN values or a bound verdict is printed
+        code, out, err = run(capsys, ["counterexample", "--tol", "1e-16"])
+        assert code == 1
+        assert "quadrature failure: panel budget" in err
+        assert "exceeds C(n, alpha)" not in out
+        assert "nan" not in out
+
 
 class TestReportCommand:
     def test_defaults_to_json(self, capsys):
@@ -167,6 +186,13 @@ class TestIdentityCommand:
         assert row["target"] == pytest.approx(math.log(3.0), rel=1e-12)
         assert abs(row["residual"]) <= 1e-8
 
+    @pytest.mark.parametrize("y", ["inf", "nan"])
+    def test_y_not_finite_is_usage_error(self, capsys, y):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["identity", "--y", y])
+        assert excinfo.value.code == 2
+        assert "--y must be finite and > 0" in capsys.readouterr().err
+
 
 class TestConvertCommand:
     def test_inverse_then_direct(self, capsys, tmp_path):
@@ -195,7 +221,7 @@ class TestConvertCommand:
             main(["convert", "--direct", "--n", "2", "--input", str(q_file)])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("t", ["inf", "0"])
+    @pytest.mark.parametrize("t", ["inf", "0", "nan", "-1"])
     def test_direct_t_not_finite_positive_is_usage_error(self, capsys, tmp_path, t):
         q_file = tmp_path / "q.json"
         q_file.write_text(json.dumps({"breakpoints": [], "pieces": [[0, 12]]}))
@@ -213,6 +239,13 @@ class TestConvertCommand:
 
 
 class TestPlotdataCommand:
+    @pytest.mark.parametrize("bound", ["--from=-inf", "--to=inf", "--to=nan"])
+    def test_range_not_finite_is_usage_error(self, capsys, bound):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["plotdata", "--kind", "R3", bound])
+        assert excinfo.value.code == 2
+        assert "--from and --to must be finite" in capsys.readouterr().err
+
     def test_r3_curve(self, capsys):
         code, out, _ = run(
             capsys,
@@ -270,8 +303,9 @@ class TestTolerancePlumbing:
     def test_env_garbage_falls_back(self, monkeypatch):
         monkeypatch.setenv("KHAB_TOL", "not-a-number")
         assert _default_tol() == 1e-9
-        monkeypatch.setenv("KHAB_TOL", "-3")
-        assert _default_tol() == 1e-9
+        for value in ("-3", "inf", "nan"):
+            monkeypatch.setenv("KHAB_TOL", value)
+            assert _default_tol() == 1e-9
 
     def test_env_tol_used_by_command(self, capsys, monkeypatch):
         # a tolerance below rounding cannot be met: the value reached the
@@ -281,7 +315,19 @@ class TestTolerancePlumbing:
         assert code == 1
         assert "quadrature failure" in err
 
-    def test_bad_tol_flag_is_usage_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["constants", "--tol", "0"])
-        assert excinfo.value.code == 2
+    def test_bad_tol_flag_is_usage_error(self, capsys):
+        for command, tol in (
+            ("constants", "0"),
+            ("constants", "nan"),
+            ("counterexample", "inf"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--tol", tol])
+            assert excinfo.value.code == 2
+            assert "--tol must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_json_output_refuses_non_finite(value):
+    with pytest.raises(ValueError):
+        _emit_json({"t": value})

@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import pytest
 
+from khab.conversion import SmoothnessError
 from khab.counterexample import (
     T0,
     CounterexampleSpec,
-    GluingError,
     analyze_R,
     build_g,
     build_h,
@@ -17,6 +18,8 @@ from khab.counterexample import (
     verify,
 )
 from khab.poly import Polynomial
+from khab.quad import QuadratureError, QuadResult
+from khab.transition import Params
 
 SQRT37 = math.sqrt(37.0)
 
@@ -40,9 +43,18 @@ class TestSpec:
         with pytest.raises(ValueError):
             CounterexampleSpec(-0.1)
 
-    def test_bad_t0_rejected(self):
-        with pytest.raises(ValueError):
-            CounterexampleSpec(1.0, t0=0.9)
+    def test_epsilon_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(CounterexampleSpec)] == ["epsilon"]
+        spec = CounterexampleSpec(0.5)
+        assert spec.params == Params(2, 2.0)
+        assert spec.t0 == T0
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"params": Params(2, 3.0)}, {"t0": T0}], ids=["params", "t0"]
+    )
+    def test_params_and_t0_not_accepted(self, kwargs):
+        with pytest.raises(TypeError):
+            CounterexampleSpec(1.0, **kwargs)
 
 
 class TestDeformationPolynomial:
@@ -145,9 +157,7 @@ class TestExtrema:
 
 class TestPremise:
     def test_full_deformation_holds(self):
-        rep = check_premise(CounterexampleSpec(1.0))
-        assert rep.ok
-        assert rep.analytic_ok and rep.numeric_ok
+        assert check_premise(CounterexampleSpec(1.0)).ok
 
     def test_seam_margin_at_half_point(self):
         # strictly inside the deformed region the profile sits below t^2
@@ -191,7 +201,7 @@ class TestPremise:
 
     def test_numeric_route_catches_bad_conversion(self, monkeypatch):
         # a q whose direct conversion overshoots t^2 beyond t0 breaks the
-        # premise; the profile g alone cannot see it
+        # premise: G = 1.001 t^2 there, while the profile g is unchanged
         import khab.counterexample as ce
         from khab.conversion import PiecewisePolynomial
 
@@ -201,9 +211,8 @@ class TestPremise:
 
         monkeypatch.setattr(ce, "build_q", scaled_q)
         rep = check_premise(CounterexampleSpec(1.0))
-        assert rep.analytic_ok
-        assert not rep.numeric_ok
         assert not rep.ok
+        assert rep.worst_margin < 0
 
 
 class TestDeltaI:
@@ -313,28 +322,21 @@ class TestVerify:
         }
         assert not {"integrate", "integrate_halfline"} & set(vars(constants))
 
-    def test_program_error_propagates(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "error",
+        [ZeroDivisionError("bug"), QuadratureError("budget", QuadResult(0.0, 1.0, 3))],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_program_error_propagates(self, monkeypatch, error):
+        # a stage that cannot compute raises out of verify, with no report
         import khab.counterexample as ce
 
         def broken(*args, **kwargs):
-            raise ZeroDivisionError("bug")
+            raise error
 
         monkeypatch.setattr(ce, "delta_I", broken)
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(type(error)):
             verify(CounterexampleSpec(1.0))
-
-    def test_domain_error_is_recorded(self, monkeypatch):
-        import khab.counterexample as ce
-        from khab.quad import QuadResult, QuadratureError
-
-        def exhausted(*args, **kwargs):
-            raise QuadratureError("budget", QuadResult(0.0, 1.0, 3))
-
-        monkeypatch.setattr(ce, "delta_I", exhausted)
-        rep = verify(CounterexampleSpec(1.0))
-        assert rep.failures == ("delta_I failed: budget",)
-        assert math.isnan(rep.delta_I.value)
-        assert math.isnan(rep.lhs_cross_difference)
 
     def test_json_fields(self):
         data = verify(CounterexampleSpec(1.0), 1e-8).to_dict()
@@ -362,5 +364,8 @@ def test_gluing_error_fires_on_coefficient_bug(monkeypatch):
         )
 
     monkeypatch.setattr(ce, "build_h", broken_h)
-    with pytest.raises(GluingError):
-        ce.build_g(CounterexampleSpec(1.0))
+    for build in (ce.build_q, verify):
+        with pytest.raises(SmoothnessError) as excinfo:
+            build(CounterexampleSpec(1.0))
+        assert excinfo.value.order == 3
+        assert excinfo.value.breakpoint == T0
