@@ -23,11 +23,15 @@ the computed correction constant C(2, 2).
 
 The pair (n, alpha) = (2, 2) and t0 are fixed; eps is the only input.
 The C^3 gluing at t0 is checked once, by :func:`inverse_convert` in
-:func:`build_q`, and the premise once, on q.  :func:`verify` cross-checks
-the conclusion integral of :func:`lhs_integral` against the split route,
-the closed-form total d_0 * pi/2 of :func:`compute_constants` plus
-delta_I, computing each integral once.  A stage that cannot compute
-raises; the report's failures are verdicts only.
+:func:`build_q`, and the premise once, on q, reading G from the
+closed-form table of (q, n) in one pass over the grid.  :func:`verify`
+builds q once and cross-checks the conclusion integral of
+:func:`lhs_integral` against the split route, the closed-form total
+d_0 * pi/2 of :func:`compute_constants` plus delta_I, computing each
+integral once.  The conclusion integral takes the log singularity of its
+weight at 0 in closed form, -2 alpha times :func:`log_moment` of q's first
+piece, and only smooth integrands by quadrature.  A stage that cannot
+compute raises; the report's failures are verdicts only.
 """
 
 from __future__ import annotations
@@ -37,12 +41,17 @@ from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 from .constants import compute_constants
-from .conversion import PiecewisePolynomial, exact_direct_convert, inverse_convert
+from .conversion import (
+    PiecewisePolynomial,
+    exact_direct_convert_grid,
+    inverse_convert,
+)
 from .poly import Polynomial, positive_roots
 from .quad import QuadResult, integrate, integrate_halfline
 from .transition import Params, _log_weight, transition_eval, transition_for
 
 T0 = 0.6**0.25  # positive root of 5 t^4 - 3
+_EPS = math.ulp(1.0)
 
 _R3 = Polynomial((-2.0, 16.0, -34.0, 21.0))
 _R = _R3.shift_up(1)  # R(tau) = R3(tau) * tau
@@ -158,17 +167,23 @@ def check_premise(
 ) -> PremiseReport:
     """Check the premise 0 <= G(t) <= t^2 on q along a grid of t values.
 
-    G is the closed-form direct conversion of q = :func:`build_q`.  G = g
-    is the claim under test, not an axiom, and the closed form shares no
-    step with :func:`inverse_convert`, so it can refute it.
-    ``worst_margin`` is the least t - G(t)/t.
+    G is the closed-form direct conversion of q = :func:`build_q`, read
+    from the table of (q, n) in one pass over the grid.  G = g is the claim
+    under test, not an axiom, and the closed form shares no step with
+    :func:`inverse_convert`, so it can refute it.  ``worst_margin`` is the
+    least (t*t - G(t))/t.
     """
+    return _premise(spec, build_q(spec), grid)
+
+
+def _premise(
+    spec: CounterexampleSpec, q: PiecewisePolynomial, grid: Sequence[float] | None
+) -> PremiseReport:
     if grid is None:
         grid = default_premise_grid(spec.t0)
     if not grid:
         raise ValueError("check_premise requires a nonempty grid")
-    q = build_q(spec)
-    converted = [exact_direct_convert(q, spec.params.n, t) for t in grid]
+    converted = exact_direct_convert_grid(q, spec.params.n, grid)
     # (t*t - G)/t rather than t - G/t: the margin is then zero wherever G
     # rounds to t*t, the bound _premise_holds compares against
     worst = min((t * t - v) / t for t, v in zip(grid, converted))
@@ -197,25 +212,70 @@ def delta_I(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
 
 
 def lhs_integral(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
-    """Conclusion integral of q against the log weight, by adaptive
-    quadrature of q(t) ln(1 + t^(-2a)).
+    """Conclusion integral of q = :func:`build_q` against the log weight
+    ln(1 + t^(-2a)).
 
-    The range is split at q's breakpoints, where q has a kink, with ``tol``
-    shared equally: (0, b1), ..., (b_{k-1}, b_k) finite, then the half-line
-    from b_k.  :func:`verify` cross-checks it against the split route.
+    The range is split at q's breakpoints, where q has a kink.  On (0, b1)
+    the weight is -2a ln t + log1p(t^(2a)): the log part, the only singular
+    one, is integrated in closed form by :func:`log_moment`, the smooth rest
+    by quadrature.  The other finite pieces and the half-line from the last
+    breakpoint are quadratures of the piece's polynomial against the weight,
+    with ``tol`` shared equally among all quadratures.  :func:`verify`
+    cross-checks it against the split route.
     """
+    return _lhs(spec, build_q(spec), tol)
+
+
+def log_moment(p: Polynomial, b: float) -> QuadResult:
+    """Integral of p(t) ln t over (0, b], in closed form, with a bound on
+    its rounding error; b must be finite and positive.
+
+    Term by term, the integral of t^k ln t over (0, b] is
+    b^(k+1) (ln b/(k+1) - 1/(k+1)^2).
+    """
+    if not (math.isfinite(b) and b > 0):
+        raise ValueError("log_moment requires finite b > 0")
+    log_b = math.log(b)
+    terms = []
+    size = 0.0
+    for k, c in enumerate(p.coeffs, 1):
+        scale = c * b**k / k
+        terms.append(scale * (log_b - 1.0 / k))
+        size += abs(scale) * (abs(log_b) + 1.0 / k)
+    # a term takes at most six roundings (power, product, quotient, log,
+    # difference, product), each within an ulp of its share of size, and
+    # fsum one more
+    return QuadResult(math.fsum(terms), 8.0 * _EPS * size, 0)
+
+
+def _lhs(
+    spec: CounterexampleSpec, q: PiecewisePolynomial, tol: float
+) -> QuadResult:
     if tol <= 0:
         raise ValueError("tol must be positive")
-    q = build_q(spec)
     two_alpha = 2.0 * spec.params.alpha
-
-    def f(t: float) -> float:
-        return q(t) * _log_weight(t, two_alpha)
-
     edges = (0.0, *q.breakpoints)
     share = tol / len(edges)
-    parts = [integrate(f, a, b, share) for a, b in zip(edges, edges[1:])]
-    parts.append(integrate_halfline(f, edges[-1], share))
+    head = q.pieces[0]
+    log_part = log_moment(head, edges[1])
+
+    def smooth_rest(t: float) -> float:
+        return head(t) * math.log1p(t**two_alpha)
+
+    def weighted(p: Polynomial):
+        return lambda t: p(t) * _log_weight(t, two_alpha)
+
+    parts = [
+        QuadResult(
+            -two_alpha * log_part.value, two_alpha * log_part.abs_error_estimate, 0
+        ),
+        integrate(smooth_rest, 0.0, edges[1], share),
+    ]
+    parts.extend(
+        integrate(weighted(p), a, b, share)
+        for p, a, b in zip(q.pieces[1:], edges[1:], edges[2:])
+    )
+    parts.append(integrate_halfline(weighted(q.pieces[-1]), edges[-1], share))
     return QuadResult(
         math.fsum(p.value for p in parts),
         math.fsum(p.abs_error_estimate for p in parts),
@@ -283,8 +343,9 @@ def verify(spec: CounterexampleSpec, tol: float = 1e-9) -> VerificationReport:
     premise violated, delta_I not positive, routes disagreeing, or the
     bound C(n, alpha) exceeded.  A stage that cannot compute raises.
     """
-    premise = check_premise(spec)
-    lhs = lhs_integral(spec, tol)
+    q = build_q(spec)
+    premise = _premise(spec, q, None)
+    lhs = _lhs(spec, q, tol)
     excess = delta_I(spec, tol)
     consts = compute_constants(spec.params, tol)
     total = consts.total_integral

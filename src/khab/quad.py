@@ -3,7 +3,10 @@
 The finite-interval driver pairs a 7-point Gauss rule with its 15-point
 Kronrod extension on every panel and refines globally: the panel with the
 largest error estimate is bisected until the summed estimate meets the
-requested tolerance.  The rule is open, so endpoints are never sampled and
+requested tolerance.  Where two halves contradict their parent's value
+by more than their estimates claim, the estimates are raised to that
+discrepancy, which catches a panel on which the Gauss and Kronrod sums
+agreed by accident.  The rule is open, so endpoints are never sampled and
 integrable endpoint singularities (``x**beta`` with ``beta > -1``, ``ln x``)
 are absorbed by panels grading geometrically into the endpoint.  That
 grading resolves a singularity fully only when the endpoint sits at
@@ -175,6 +178,11 @@ def integrate(
         mid = 0.5 * (pa + pb)
         v1, e1 = _gk15(f, pa, mid)
         v2, e2 = _gk15(f, mid, pb)
+        # halves contradicting their parent beyond their own estimates
+        short = abs(v1 + v2 - pv) - e1 - e2
+        if short > 0.0:
+            e1 += 0.5 * short
+            e2 += 0.5 * short
         heapq.heappush(heap, (-e1, seq, pa, mid, v1, e1))
         heapq.heappush(heap, (-e2, seq + 1, mid, pb, v2, e2))
         seq += 2

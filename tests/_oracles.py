@@ -198,3 +198,21 @@ def constants_exact_mp(n, alpha, dps=40):
             else:
                 m_minus += val
         return c_upper, m_minus
+
+
+def log_moment_mp(coeffs, b, dps=30):
+    """Integral of sum_k c_k t^k ln t over (0, b], by mpmath quadrature.
+
+    With t = b s each monomial is b^(k+1) times the integral of
+    s^k (ln b + ln s) over (0, 1], whose two parts are O(1) quadratures
+    (tanh-sinh absorbs the logarithm at 0); mp.quad's tolerance is
+    absolute, so integrating over (0, b] directly loses tiny b.
+    """
+    with mp.workdps(dps):
+        bb = mp.mpf(repr(b))
+        total = mp.mpf(0)
+        for k, c in enumerate(coeffs):
+            power = mp.quad(lambda s: s**k, [0, 1])
+            log_part = mp.quad(lambda s: s**k * mp.log(s), [0, 1])
+            total += mp.mpf(repr(c)) * bb ** (k + 1) * (mp.log(bb) * power + log_part)
+        return total

@@ -116,12 +116,18 @@ class TestCounterexampleCommand:
 
 class TestVerificationFailureExit:
     def test_uncertifiable_violation_exits_one(self, capsys):
-        # coarse tolerance swamps the tiny excess, so nothing is certified
+        # coarse tolerance swamps the tiny excess (1.3e-8 against an lhs
+        # error of 4e-7), so nothing is certified
         code, out, _ = run(
-            capsys, ["counterexample", "--epsilon", "0.001", "--tol", "1e-3"]
+            capsys, ["counterexample", "--epsilon", "1e-6", "--tol", "1e-3"]
         )
         assert code == 1
         assert "no violation detected" in out
+        # an excess of 1.3e-5 stands clear of the same error
+        code, _, _ = run(
+            capsys, ["counterexample", "--epsilon", "0.001", "--tol", "1e-3"]
+        )
+        assert code == 0
 
     def test_quadrature_failure_exits_one(self, capsys):
         code, _, err = run(

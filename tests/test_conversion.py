@@ -3,7 +3,7 @@ import math
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from khab.conversion import (
@@ -12,6 +12,7 @@ from khab.conversion import (
     _direct_table,
     direct_convert,
     exact_direct_convert,
+    exact_direct_convert_grid,
     inverse_convert,
 )
 from khab.counterexample import (
@@ -217,6 +218,15 @@ class TestExactDirect:
     def test_rejects_nonfinite_t(self, t):
         with pytest.raises(ValueError, match="finite t > 0"):
             exact_direct_convert(global_poly(T_SQ), 2, t)
+        with pytest.raises(ValueError, match="finite t > 0"):
+            exact_direct_convert_grid(global_poly(T_SQ), 2, [1.0, t])
+
+    @pytest.mark.parametrize("eps", [0.0, 0.001, 0.145, 0.5, 1.0])
+    def test_grid_pass_bit_identical_to_pointwise(self, eps):
+        q = build_q(CounterexampleSpec(eps))
+        ts = [*default_premise_grid(), *q.breakpoints]
+        pointwise = [exact_direct_convert(q, 2, t).hex() for t in ts]
+        assert [g.hex() for g in exact_direct_convert_grid(q, 2, ts)] == pointwise
 
     def test_equal_valued_q_bit_identical(self):
         q1 = build_q(CounterexampleSpec(0.3))
@@ -250,6 +260,13 @@ def piecewise_q(draw):
     exps=st.lists(st.floats(-3.0, 6.0), min_size=1, max_size=3),
 )
 @settings(max_examples=150, deadline=None)
+@example(  # Gauss and Kronrod agree by accident on (0, t/8), off by 4e-4
+    q=PiecewisePolynomial(
+        (), (Polynomial((-0.04959344122641962, -0.890625, 1.625)),)
+    ),
+    n=1,
+    exps=[1.6328125],
+)
 def test_exact_direct_matches_quadrature(q, n, exps):
     # t - on a random interval or exactly at a breakpoint, which belongs to
     # the piece on its right - against the quadrature oracle.  The scale is

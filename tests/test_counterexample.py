@@ -2,8 +2,11 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from khab.conversion import SmoothnessError
+from _oracles import log_moment_mp
+from khab.conversion import SmoothnessError, exact_direct_convert
 from khab.counterexample import (
     T0,
     CounterexampleSpec,
@@ -13,8 +16,10 @@ from khab.counterexample import (
     build_q,
     build_r,
     check_premise,
+    default_premise_grid,
     delta_I,
     lhs_integral,
+    log_moment,
     verify,
 )
 from khab.poly import Polynomial
@@ -195,6 +200,20 @@ class TestPremise:
         # default grid is zero up to the rounding of G
         assert check_premise(CounterexampleSpec(eps)).worst_margin >= -1e-13
 
+    @pytest.mark.parametrize("eps", [0.0, 0.001, 0.145, 0.5, 1.0])
+    def test_one_pass_margin_matches_pointwise(self, eps):
+        # the grid pass reads the same G, bit for bit, as one closed-form
+        # conversion per point, on the default grid and at q's breakpoints
+        spec = CounterexampleSpec(eps)
+        q = build_q(spec)
+        grid = [*default_premise_grid(), *q.breakpoints]
+        pointwise = [exact_direct_convert(q, 2, t) for t in grid]
+        rep = check_premise(spec, grid)
+        assert rep.ok
+        assert rep.worst_margin == min(
+            (t * t - v) / t for t, v in zip(grid, pointwise)
+        )
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="nonempty grid"):
             check_premise(CounterexampleSpec(1.0), grid=[])
@@ -254,7 +273,31 @@ class TestLhs:
         # 6 pi + eps * delta_I(1) is exact; split at q's kink at t0 the
         # quadrature meets it far inside its 1e-9 tolerance
         rep = lhs_integral(CounterexampleSpec(eps), 1e-9)
-        assert abs(rep.value - (SIX_PI + eps * DELTA_I_1)) <= 2e-12
+        assert abs(rep.value - (SIX_PI + eps * DELTA_I_1)) <= 1e-13
+
+    @pytest.mark.parametrize("eps", [0.0, 0.145, 1.0])
+    def test_few_panels(self, eps):
+        # with the log singularity at 0 in closed form, no panel grades
+        # into it
+        assert lhs_integral(CounterexampleSpec(eps), 1e-9).subdivisions <= 8
+
+
+@given(
+    coeffs=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=7),
+    log_b=st.floats(-12.0, 0.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_log_moment_matches_oracle(coeffs, log_b):
+    b = 10.0**log_b
+    got = log_moment(Polynomial(tuple(coeffs)), b)
+    want = log_moment_mp(coeffs, b)
+    assert abs(got.value - want) <= got.abs_error_estimate
+
+
+def test_log_moment_rejects_bad_b():
+    for b in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite b > 0"):
+            log_moment(Polynomial((1.0,)), b)
 
 
 class TestVerify:
@@ -321,6 +364,19 @@ class TestVerify:
             "integrate_halfline": 1,
         }
         assert not {"integrate", "integrate_halfline"} & set(vars(constants))
+
+    def test_q_built_once(self, monkeypatch):
+        import khab.counterexample as ce
+
+        built = []
+
+        def counting(spec):
+            built.append(spec)
+            return build_q(spec)
+
+        monkeypatch.setattr(ce, "build_q", counting)
+        verify(CounterexampleSpec(0.5))
+        assert built == [CounterexampleSpec(0.5)]
 
     @pytest.mark.parametrize(
         "error",

@@ -19,6 +19,18 @@ class TestExamples:
         res = integrate(lambda y: -math.log(y), 0.0, 1.0, 1e-10)
         assert res.value == pytest.approx(1.0, abs=1e-10)
 
+    def test_accidental_gauss_kronrod_agreement_is_refined(self):
+        # on (0, t/8) the two rules agree to 7e-6 while both miss by 4e-4;
+        # the halves of that panel expose it
+        c = (-0.04959344122641962, -0.890625, 1.625)
+        t = 10.0**1.6328125
+        tol = 1e-10 * t * sum(abs(cj) * t**j for j, cj in enumerate(c))
+        res = integrate(
+            lambda y: -math.log(y / t) * (c[0] + y * (c[1] + y * c[2])), 0.0, t, tol
+        )
+        exact = math.fsum(cj * t ** (j + 1) / (j + 1) ** 2 for j, cj in enumerate(c))
+        assert abs(res.value - exact) <= min(tol, res.abs_error_estimate)
+
 
 class TestValidation:
     def test_reversed_interval(self):
