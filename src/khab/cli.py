@@ -225,9 +225,11 @@ def _cmd_constants(args) -> int:
     if args.format == "json":
         _emit_json(rep.to_dict())
     else:
-        print(f"C({args.n}, {_fmt(args.alpha)}) = {_fmt(rep.c_upper)}")
+        print(f"C({args.n}, {_fmt(args.alpha)}) = {_fmt(rep.c_upper)} "
+              f"(+/- {_fmt(rep.c_upper_error)})")
         print(f"closed-form total        = {_fmt(rep.closed_form_total)}")
-        print(f"negative-part integral   = {_fmt(rep.m_minus_integral)}")
+        print(f"negative-part integral   = {_fmt(rep.m_minus_integral)} "
+              f"(+/- {_fmt(rep.m_minus_error)})")
         print(f"decomposition residual   = {_fmt(rep.decomposition_residual)}")
     return 0
 

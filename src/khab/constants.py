@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-from .quad import QuadResult
+from .quad import QuadResult, _check_tol
 from .transition import Params, sign_partition, transition_for
 
 _ROOT_TOL = 1e-13
@@ -111,8 +111,7 @@ def compute_constants(params: Params, tol: float = 1e-9) -> ConstantsReport:
     A total d_0 * pi/2 off the closed form by more than that bound plus
     1e-12 * max(1, closed form) raises :class:`ConstantsError`.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     tf = transition_for(params)
     part = sign_partition(tf, _ROOT_TOL)
     n, alpha = params.n, params.alpha

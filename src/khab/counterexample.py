@@ -28,9 +28,10 @@ closed-form table of (q, n) in one pass over the grid.  :func:`verify`
 builds q once and cross-checks the conclusion integral of
 :func:`lhs_integral` against the split route, the closed-form total
 d_0 * pi/2 of :func:`compute_constants` plus delta_I, computing each
-integral once.  The conclusion integral takes the log singularity of its
-weight at 0 in closed form, -2 alpha times :func:`log_moment` of q's first
-piece, and only smooth integrands by quadrature.  A stage that cannot
+integral once, and what does not depend on eps once per process.  The
+conclusion integral takes the log singularity of its weight at 0 in closed
+form, -2 alpha times :func:`log_moment` of q's first piece, and only smooth
+integrands by quadrature.  A stage that cannot
 compute raises; the report's failures are verdicts only.
 """
 
@@ -38,16 +39,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import ClassVar, Sequence
 
-from .constants import compute_constants
+from .constants import ConstantsReport, compute_constants
 from .conversion import (
     PiecewisePolynomial,
     exact_direct_convert_grid,
     inverse_convert,
 )
 from .poly import Polynomial, positive_roots
-from .quad import QuadResult, integrate, integrate_halfline
+from .quad import QuadResult, _check_tol, integrate, integrate_halfline
 from .transition import Params, _log_weight, transition_eval, transition_for
 
 T0 = 0.6**0.25  # positive root of 5 t^4 - 3
@@ -143,9 +145,14 @@ def analyze_R() -> ExtremaReport:
 
 def default_premise_grid(t0: float = T0) -> list[float]:
     """200 log-spaced points over [1e-3, 1e3] plus the seam neighborhood."""
+    return list(_premise_grid(t0))
+
+
+@lru_cache(maxsize=4)
+def _premise_grid(t0: float) -> tuple[float, ...]:
     pts = [10.0 ** (-3.0 + 6.0 * i / 199.0) for i in range(200)]
     pts.extend((t0 - 1e-6, t0 + 1e-6))
-    return sorted(pts)
+    return tuple(sorted(pts))
 
 
 @dataclass(frozen=True)
@@ -180,7 +187,7 @@ def _premise(
     spec: CounterexampleSpec, q: PiecewisePolynomial, grid: Sequence[float] | None
 ) -> PremiseReport:
     if grid is None:
-        grid = default_premise_grid(spec.t0)
+        grid = _premise_grid(spec.t0)
     if not grid:
         raise ValueError("check_premise requires a nonempty grid")
     converted = exact_direct_convert_grid(q, spec.params.n, grid)
@@ -193,22 +200,27 @@ def _premise(
 def delta_I(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
     """Excess of the conclusion integral over the closed-form total.
 
-    The base integral of Phi_1(2,t) t^2 h(t) over (0, t0) is computed once
+    The base integral of Phi_1(2,t) t^2 h(t) over (0, t0) does not depend
+    on eps: it is computed once per process and tol (a cache of a few tols)
     and scaled by -eps, exposing the exact linearity in eps.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    tf = transition_for(spec.params)
-    h = build_h(spec.t0)
-
-    def f(t: float) -> float:
-        return transition_eval(tf, t) * t * t * h(t)
-
-    base = integrate(f, 0.0, spec.t0, tol)
+    _check_tol(tol)
+    base = _delta_I_base(tol)
     eps = spec.epsilon
     return QuadResult(
         -eps * base.value, abs(eps) * base.abs_error_estimate, base.subdivisions
     )
+
+
+@lru_cache(maxsize=8)
+def _delta_I_base(tol: float) -> QuadResult:
+    tf = transition_for(CounterexampleSpec.params)
+    h = build_h(T0)
+
+    def f(t: float) -> float:
+        return transition_eval(tf, t) * t * t * h(t)
+
+    return integrate(f, 0.0, T0, tol)
 
 
 def lhs_integral(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
@@ -220,7 +232,11 @@ def lhs_integral(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
     one, is integrated in closed form by :func:`log_moment`, the smooth rest
     by quadrature.  The other finite pieces and the half-line from the last
     breakpoint are quadratures of the piece's polynomial against the weight,
-    with ``tol`` shared equally among all quadratures.  :func:`verify`
+    with ``tol`` shared equally among all quadratures.  The half-line
+    quadrature is cached on the last piece's coefficients, the breakpoint,
+    2a and its share of ``tol`` (a few entries), so a sweep over eps, whose
+    q is 12 t beyond t0 for every eps, integrates it once; a q whose last
+    piece differs misses and is integrated afresh.  :func:`verify`
     cross-checks it against the split route.
     """
     return _lhs(spec, build_q(spec), tol)
@@ -238,21 +254,27 @@ def log_moment(p: Polynomial, b: float) -> QuadResult:
     log_b = math.log(b)
     terms = []
     size = 0.0
+    floor = 0.0
     for k, c in enumerate(p.coeffs, 1):
         scale = c * b**k / k
         terms.append(scale * (log_b - 1.0 / k))
         size += abs(scale) * (abs(log_b) + 1.0 / k)
+        floor += (abs(c) + 2.0) * (abs(log_b) + 2.0)
     # a term takes at most six roundings (power, product, quotient, log,
     # difference, product), each within an ulp of its share of size, and
-    # fsum one more
-    return QuadResult(math.fsum(terms), 8.0 * _EPS * size, 0)
+    # fsum one more.  Where an intermediate is subnormal, a rounding errs by
+    # up to ulp(0)/2 absolutely instead; the power's error is then magnified
+    # by |c|/k, and the power's, the product's and the quotient's by
+    # |ln b - 1/k|, which together stay under the term's share of floor
+    return QuadResult(
+        math.fsum(terms), 8.0 * _EPS * size + math.ulp(0.0) * floor, 0
+    )
 
 
 def _lhs(
     spec: CounterexampleSpec, q: PiecewisePolynomial, tol: float
 ) -> QuadResult:
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     two_alpha = 2.0 * spec.params.alpha
     edges = (0.0, *q.breakpoints)
     share = tol / len(edges)
@@ -262,9 +284,6 @@ def _lhs(
     def smooth_rest(t: float) -> float:
         return head(t) * math.log1p(t**two_alpha)
 
-    def weighted(p: Polynomial):
-        return lambda t: p(t) * _log_weight(t, two_alpha)
-
     parts = [
         QuadResult(
             -two_alpha * log_part.value, two_alpha * log_part.abs_error_estimate, 0
@@ -272,15 +291,33 @@ def _lhs(
         integrate(smooth_rest, 0.0, edges[1], share),
     ]
     parts.extend(
-        integrate(weighted(p), a, b, share)
+        integrate(_weighted(p, two_alpha), a, b, share)
         for p, a, b in zip(q.pieces[1:], edges[1:], edges[2:])
     )
-    parts.append(integrate_halfline(weighted(q.pieces[-1]), edges[-1], share))
+    parts.append(_halfline_piece(q.pieces[-1], edges[-1], two_alpha, share))
     return QuadResult(
         math.fsum(p.value for p in parts),
         math.fsum(p.abs_error_estimate for p in parts),
         sum(p.subdivisions for p in parts),
     )
+
+
+def _weighted(p: Polynomial, two_alpha: float):
+    return lambda t: p(t) * _log_weight(t, two_alpha)
+
+
+@lru_cache(maxsize=8)
+def _halfline_piece(
+    p: Polynomial, a: float, two_alpha: float, tol: float
+) -> QuadResult:
+    """p against the log weight over (a, inf), keyed on p's value."""
+    return integrate_halfline(_weighted(p, two_alpha), a, tol)
+
+
+@lru_cache(maxsize=8)
+def _family_constants(tol: float) -> ConstantsReport:
+    """C(2, 2) and its consistency data, the same for every eps."""
+    return compute_constants(CounterexampleSpec.params, tol)
 
 
 @dataclass(frozen=True)
@@ -337,6 +374,12 @@ class VerificationReport:
 def verify(spec: CounterexampleSpec, tol: float = 1e-9) -> VerificationReport:
     """Assemble the full report, computing each integral once.
 
+    What does not depend on eps is computed once per process and tol, in
+    caches of a few entries each: the premise grid, delta_I's base integral,
+    the half-line part of the conclusion integral (keyed on q's last piece,
+    so it is only reused for the same piece) and C(2, 2).  A sweep over eps
+    pays for them at its first eps.
+
     ``lhs_cross_difference`` is :func:`lhs_integral` minus the split route,
     the total d_0 * pi/2 of :func:`compute_constants` plus :func:`delta_I`.
     ``failures`` lists the verdicts that go against the counterexample:
@@ -347,7 +390,7 @@ def verify(spec: CounterexampleSpec, tol: float = 1e-9) -> VerificationReport:
     premise = _premise(spec, q, None)
     lhs = _lhs(spec, q, tol)
     excess = delta_I(spec, tol)
-    consts = compute_constants(spec.params, tol)
+    consts = _family_constants(tol)
     total = consts.total_integral
     cross = lhs.value - (total.value + excess.value)
     bound_ok = lhs.value <= consts.c_upper + (

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .quad import QuadResult, integrate
+from .quad import QuadResult, _check_tol, integrate
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,7 @@ def kernel_eval_quadrature(spec: KernelSpec, x: float, tol: float) -> QuadResult
         raise ValueError("kernel_eval_quadrature requires x > 0")
     if x > 1.0:
         raise ValueError("kernel_eval_quadrature requires x <= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     if x == 1.0:
         return QuadResult(0.0, 0.0, 1)
     n = spec.n

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .quad import _check_tol
+
 
 class RootCertificationError(RuntimeError):
     """Root count could not be certified (e.g. a suspected multiple root).
@@ -233,8 +235,7 @@ def positive_roots(p: Polynomial, tol: float) -> list[float]:
     """
     if p.is_zero():
         raise ValueError("positive_roots requires a nonzero polynomial")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
 
     a = _integer_coeffs(p.coeffs)
     while a[0] == 0:  # roots at zero are outside (0, inf)

@@ -64,6 +64,12 @@ class QuadResult:
     subdivisions: int
 
 
+def _check_tol(tol: float) -> None:
+    """Raise ValueError unless ``tol`` is finite and positive."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
+
+
 class QuadratureError(RuntimeError):
     """Subdivision budget exhausted before meeting the tolerance.
 
@@ -130,8 +136,7 @@ def integrate(
         raise ValueError("integrate requires finite endpoints")
     if not a < b:
         raise ValueError("integrate requires a < b")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
 
     value, err = _gk15(f, a, b)
     # heap entries: (-err, seq, a, b, value, err); seq breaks ties
@@ -212,8 +217,7 @@ def integrate_halfline(
     """
     if not math.isfinite(a) or a < 0:
         raise ValueError("integrate_halfline requires finite a >= 0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
 
     def tail_from(start: float, tail_tol: float) -> QuadResult:
         def g(v: float) -> float:

@@ -165,9 +165,8 @@ def sign_partition(tf: TransitionFunction, tol: float) -> SignPartition:
     polynomial mapped to t; root-certification failures propagate.  Every
     certified root is simple, so the sign starts as that of P's lowest
     nonzero coefficient (P near z = 0+) and flips at each boundary.
+    ``tol`` is validated by :func:`positive_roots`.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if tf.p_poly.is_zero():
         raise ValueError("transition numerator is identically zero")
     z_roots = positive_roots(tf.p_poly, tol)

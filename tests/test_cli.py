@@ -59,6 +59,10 @@ class TestConstantsCommand:
         code, out, _ = run(capsys, ["constants", "--n", "2", "--alpha", "2"])
         assert code == 0
         assert "19.65507202" in out
+        # C and the negative part carry their rounding bound
+        lines = out.splitlines()
+        assert lines[0].startswith("C(2, 2) = 19.65507202 (+/- ")
+        assert lines[2].startswith("negative-part integral   = -0.805516099 (+/- ")
 
     def test_json(self, capsys):
         code, out, _ = run(

@@ -1,12 +1,15 @@
 import dataclasses
 import math
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import log_moment_mp
-from khab.conversion import SmoothnessError, exact_direct_convert
+import khab.counterexample as ce
+from khab.constants import compute_constants
+from khab.conversion import PiecewisePolynomial, SmoothnessError, exact_direct_convert
 from khab.counterexample import (
     T0,
     CounterexampleSpec,
@@ -22,9 +25,10 @@ from khab.counterexample import (
     log_moment,
     verify,
 )
-from khab.poly import Polynomial
-from khab.quad import QuadratureError, QuadResult
-from khab.transition import Params
+from khab.kernel import KernelSpec, kernel_eval_quadrature
+from khab.poly import Polynomial, positive_roots
+from khab.quad import QuadratureError, QuadResult, integrate, integrate_halfline
+from khab.transition import Params, sign_partition, transition_for
 
 SQRT37 = math.sqrt(37.0)
 
@@ -34,6 +38,23 @@ DELTA_I_1 = 0.012994435079531281
 LHS_1 = 18.86255035661829
 C22 = 19.65507202058854
 SIX_PI = 6.0 * math.pi
+
+_CACHES = (
+    ce._premise_grid,
+    ce._delta_I_base,
+    ce._halfline_piece,
+    ce._family_constants,
+)
+
+
+@pytest.fixture
+def cold():
+    """Empty every eps-independent cache before and after the test."""
+    for cache in _CACHES:
+        cache.cache_clear()
+    yield
+    for cache in _CACHES:
+        cache.cache_clear()
 
 
 class TestSpec:
@@ -214,6 +235,12 @@ class TestPremise:
             (t * t - v) / t for t, v in zip(grid, pointwise)
         )
 
+    def test_default_grid_is_a_fresh_list(self):
+        grid = default_premise_grid()
+        assert len(grid) == 202 and grid == sorted(grid)
+        grid.clear()
+        assert len(default_premise_grid()) == 202
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="nonempty grid"):
             check_premise(CounterexampleSpec(1.0), grid=[])
@@ -286,6 +313,8 @@ class TestLhs:
     coeffs=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=7),
     log_b=st.floats(-12.0, 0.0),
 )
+# a subnormal value: a bound relative to the terms alone underflows to 0
+@example(coeffs=[2.2250738585072014e-308], log_b=-2.0)
 @settings(max_examples=60, deadline=None)
 def test_log_moment_matches_oracle(coeffs, log_b):
     b = 10.0**log_b
@@ -337,9 +366,11 @@ class TestVerify:
         assert rep.failures == ()
         assert rep.premise_ok and rep.violated
 
-    def test_each_integral_computed_once(self, monkeypatch):
+    def test_each_integral_computed_once(self, monkeypatch, cold):
+        # across a sweep over eps, each eps-independent integral is computed
+        # once: delta_I's base, C(2, 2) and the half-line part of the
+        # conclusion integral
         import khab.constants as constants
-        import khab.counterexample as ce
 
         calls = {}
 
@@ -355,15 +386,47 @@ class TestVerify:
         counting(ce, "integrate_halfline")
         counting(ce, "delta_I")
         counting(ce, "compute_constants")
-        rep = verify(CounterexampleSpec(1.0))
-        assert rep.failures == ()
-        # one direct conclusion integral; compute_constants is closed-form
+        sweep = (1.0, 0.145, 0.5)
+        for eps in sweep:
+            assert verify(CounterexampleSpec(eps)).failures == ()
+        # compute_constants is closed-form, with no quadrature of its own
         assert calls == {
-            "delta_I": 1,
+            "delta_I": len(sweep),
             "compute_constants": 1,
             "integrate_halfline": 1,
         }
+        assert ce._delta_I_base.cache_info().misses == 1
         assert not {"integrate", "integrate_halfline"} & set(vars(constants))
+
+    @pytest.mark.parametrize("eps", [0.0, 0.001, 0.145, 0.5, 1.0])
+    def test_warm_caches_give_cold_report(self, cold, eps):
+        # repr tells -0.0 from 0.0, so equal reprs are bit-identical reports
+        cold_report = repr(verify(CounterexampleSpec(eps)).to_dict())
+        for cache in _CACHES:
+            cache.cache_clear()
+        verify(CounterexampleSpec(0.37))
+        assert repr(verify(CounterexampleSpec(eps)).to_dict()) == cold_report
+
+    def test_halfline_cache_keyed_on_last_piece(self, monkeypatch, cold):
+        # a q whose last piece differs from 12 t is integrated afresh, not
+        # read from the cache the family filled
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate_halfline(*args, **kwargs)
+
+        monkeypatch.setattr(ce, "integrate_halfline", counting)
+        spec = CounterexampleSpec(1.0)
+        q = build_q(spec)
+        family = lhs_integral(spec)
+        assert len(calls) == 1
+        bent = PiecewisePolynomial(q.breakpoints, (q.pieces[0], 1.5 * q.pieces[1]))
+        other = ce._lhs(spec, bent, 1e-9)
+        assert len(calls) == 2
+        assert other.value != family.value
+        assert lhs_integral(spec) == family
+        assert len(calls) == 2
 
     def test_q_built_once(self, monkeypatch):
         import khab.counterexample as ce
@@ -425,3 +488,37 @@ def test_gluing_error_fires_on_coefficient_bug(monkeypatch):
             build(CounterexampleSpec(1.0))
         assert excinfo.value.order == 3
         assert excinfo.value.breakpoint == T0
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tol: integrate(math.sin, 0.0, 1.0, tol),
+        lambda tol: integrate_halfline(lambda t: 1.0 / (1.0 + t * t), 0.0, tol),
+        lambda tol: compute_constants(Params(2, 2.0), tol),
+        lambda tol: delta_I(CounterexampleSpec(0.5), tol),
+        lambda tol: lhs_integral(CounterexampleSpec(0.5), tol),
+        lambda tol: verify(CounterexampleSpec(0.5), tol),
+        lambda tol: sign_partition(transition_for(Params(2, 2.0)), tol),
+        lambda tol: positive_roots(Polynomial((-2.0, 0.0, 1.0)), tol),
+        lambda tol: kernel_eval_quadrature(KernelSpec(2), 0.5, tol),
+    ],
+    ids=[
+        "integrate",
+        "integrate_halfline",
+        "compute_constants",
+        "delta_I",
+        "lhs_integral",
+        "verify",
+        "sign_partition",
+        "positive_roots",
+        "kernel_eval_quadrature",
+    ],
+)
+def test_non_finite_tol_rejected_at_once(call, tol):
+    # once, a NaN tol ran quadratures to their panel budget or returned
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        call(tol)
+    assert time.perf_counter() - start < 0.25
