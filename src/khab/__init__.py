@@ -31,7 +31,6 @@ from .quad import QuadratureError, QuadResult, integrate, integrate_halfline
 from .transition import (
     Params,
     SignPartition,
-    TemplateMatchError,
     TransitionFunction,
     build_transition,
     phi_derivative_poly,
@@ -54,7 +53,6 @@ __all__ = [
     "SignPartition",
     "SmoothnessError",
     "T0",
-    "TemplateMatchError",
     "TransitionFunction",
     "VerificationReport",
     "analyze_R",

@@ -8,9 +8,9 @@ premise and conclusion weights), ``convert`` (direct/inverse conversion of
 piecewise polynomials as JSON), and ``plotdata`` (CSV curves).
 
 Exit codes: 0 success, 1 verification failure or a stage that cannot
-compute, 2 usage error.  ``--alpha``, ``--tol``, ``--t`` and ``--y`` must be
-finite and > 0, and ``plotdata --from/--to`` finite.  Numeric text output
-prints 10 significant digits; JSON floats round-trip bit-exactly, and JSON
+compute (also ``--n`` > 171), 2 usage error.  ``--alpha``, ``--tol``, ``--t`` and
+``--y`` must be finite and > 0, and ``plotdata --from/--to`` finite.  Numeric text
+output prints 10 significant digits; JSON floats round-trip bit-exactly, and JSON
 output never holds NaN or infinity.
 The default tolerance is 1e-9, overridable by the KHAB_TOL environment
 variable and per-run by ``--tol``; ``constants``, ``convert`` and
@@ -38,6 +38,7 @@ from .counterexample import (
 )
 from .quad import QuadratureError
 from .transition import (
+    MAX_ORDER,
     Params,
     _log_weight,
     build_transition,
@@ -52,6 +53,7 @@ _PLOT_DEFAULTS = {
     "q": (0.0, 2.0),
     "transition": (0.05, 5.0),
 }
+_N_HELP = f"conjecture level, 1 <= n <= {MAX_ORDER + 1}"
 
 
 def _fmt(x: float) -> str:
@@ -97,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transition", help="numerator polynomial, sign "
                        "boundaries and pointwise transition values")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=2, help=_N_HELP)
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--t", type=float, action="append", default=None,
                    help="evaluation point (repeatable)")
@@ -105,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="correction constant C(n, alpha) "
                        "and its decomposition")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=2, help=_N_HELP)
     p.add_argument("--alpha", type=float, default=2.0)
     _add_common(p)
 
@@ -122,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identity", help="bridge identity residuals: "
                        "transition integral against ln(1 + y^(-2a))")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=2, help=_N_HELP)
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--y", type=float, action="append", default=None,
                    help="premise point (repeatable)")
@@ -144,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plotdata", help="CSV curve samples (x,value)")
     p.add_argument("--kind", choices=("R3", "transition", "g", "q", "h"),
                    required=True)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=2, help=_N_HELP)
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--from", dest="lo", type=float, default=None)

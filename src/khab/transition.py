@@ -1,27 +1,23 @@
 """Transition function machinery.
 
-For phi(t) = ln(1 + t^(-2*alpha)) the m-th derivative closes over the
-variable z = t^(2*alpha):
+Write theta = t d/dt and z = t^(2*alpha).  For phi(t) = ln(1 + t^(-2*alpha)),
+theta phi = -2*alpha/(1+z) = -2*alpha sum_s (-z)^s, theta z^s = 2*alpha*s z^s
+and t^m d^m/dt^m = theta (theta-1) ... (theta-m+1), so
 
     d^m phi / dt^m = t^(-m) * Q_m(z) / (1+z)^m
+                   = -2*alpha t^(-m) sum_s (-z)^s prod_{k<m} (2*alpha*s - k).
 
-with Q_1 = -2*alpha and the recurrence
+The outer operator -d/dt [ (-t)^(n+1)/n! * d^(n+1)phi/dt^(n+1) ] = -theta/t
+adds a factor 2*alpha*s and yields the transition function of order n,
 
-    Q_{m+1}(z) = (1+z) * (2*alpha*z*Q_m'(z) - m*Q_m(z)) - 2*alpha*m*z*Q_m(z).
+    Phi_n(alpha, t) = (4*alpha^2 / t) * z * P_n(alpha, z) / (1+z)^(n+2).
 
-Applying the outer operator -d/dt [ (-t)^(n+1)/n! * d^(n+1)phi/dt^(n+1) ]
-to that normal form yields the transition function of order n as a rational
-function of z,
-
-    Phi_n(alpha, t) = (4*alpha^2 / t) * z * P_n(alpha, z) / (1+z)^(n+2),
-
-where P_n(alpha, z) = (-1)^n / (2*alpha*n!) *
-    [ (1+z) * Q_{n+1}'(z) - (n+1) * Q_{n+1}(z) ]
-
-is a polynomial of degree exactly n.  The recurrence and the template match
-are validated against finite differences of phi in the test suite; repeated
-numeric differentiation is useless here in double precision, which is why
-the representation is symbolic in z.
+For f of degree r, sum_s f(s) x^s = N(x)/(1-x)^(r+1) with N_j =
+sum_i (-1)^i C(r+1, i) f(j-i) (Stanley, Enumerative Combinatorics I, 4.3),
+so z P_n(z) = (-1)^(n+1) N(-z) / n! for f(s) = s prod_{k<=n} (2*alpha*s - k).
+With alpha = a/d exactly (d a power of two) each coefficient is one integer
+quotient, correctly rounded.  P_n has degree exactly n: its leading
+coefficient is prod_k (1 + 2*alpha/k) >= 1.
 """
 
 from __future__ import annotations
@@ -31,9 +27,7 @@ from dataclasses import dataclass
 
 from .poly import Polynomial, positive_roots
 
-
-class TemplateMatchError(RuntimeError):
-    """The computed rational form did not match the expected template."""
+MAX_ORDER = 170  # conjecture levels n <= 171; C(n, alpha) loses digits past n ~ 50
 
 
 @dataclass(frozen=True)
@@ -95,36 +89,41 @@ def _log_weight(t: float, two_alpha: float) -> float:
     return -two_alpha * math.log(t) + math.log1p(t**two_alpha)
 
 
+def _series_numerator(values: list[int], power: int) -> list[int]:
+    """N_j = sum_i (-1)^i C(power, i) values[j-i]: the numerator N(x) of
+    sum_s f(s) x^s = N(x) / (1-x)^power, given values[s] = f(s)."""
+    return [sum((-1) ** i * math.comb(power, i) * values[j - i] for i in range(j + 1))
+            for j in range(len(values))]
+
+
 def phi_derivative_poly(m: int, alpha: float) -> Polynomial:
     """Q_m such that d^m phi/dt^m = t^(-m) Q_m(z) / (1+z)^m."""
     if not isinstance(m, int) or m < 1:
         raise ValueError("m must be a positive integer")
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError("alpha must be a positive real")
-    q = Polynomial((-2.0 * alpha,))
-    for k in range(1, m):
-        qprime = q.derivative()
-        inner = 2.0 * alpha * qprime.shift_up(1) - float(k) * q
-        q = inner + inner.shift_up(1) - (2.0 * alpha * k) * q.shift_up(1)
-    return q
+    a, d = float(alpha).as_integer_ratio()
+    g = [math.prod(2 * a * s - k * d for k in range(1, m)) for s in range(m)]
+    return Polynomial(tuple((-1) ** (j + 1) * 2 * a * c / d**m
+                            for j, c in enumerate(_series_numerator(g, m))))
 
 
 def build_transition(order: int, alpha: float) -> TransitionFunction:
-    """Construct Phi_order(alpha, .) symbolically; order >= 0."""
-    if not isinstance(order, int) or order < 0:
-        raise ValueError("order must be a nonnegative integer")
+    """Construct Phi_order(alpha, .) in closed form; 0 <= order <= MAX_ORDER."""
+    if not isinstance(order, int) or not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be an integer in [0, {MAX_ORDER}] "
+                         f"(conjecture level n <= {MAX_ORDER + 1}), got {order!r}")
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError("alpha must be a positive real")
-    q = phi_derivative_poly(order + 1, alpha)
-    qprime = q.derivative()
-    bracket = qprime + qprime.shift_up(1) - float(order + 1) * q
-    scale = (-1.0) ** order / (2.0 * alpha * math.factorial(order))
-    p = scale * bracket
-    if p.degree != order:
-        raise TemplateMatchError(
-            f"numerator polynomial has degree {p.degree}, expected {order}; "
-            "rational form does not fit the (4a^2/t) z P(z)/(1+z)^(n+2) template"
-        )
+    a, d = float(alpha).as_integer_ratio()
+    f = [s * math.prod(2 * a * s - k * d for k in range(1, order + 1))
+         for s in range(order + 2)]
+    c = _series_numerator(f, order + 2)[1:]
+    scale = math.factorial(order) * d**order
+    try:
+        p = Polynomial(tuple((-1) ** (order + j) * x / scale for j, x in enumerate(c)))
+    except OverflowError:
+        raise ValueError(f"P_{order}(alpha={alpha!r}) overflows a float") from None
     return TransitionFunction(order, alpha, p)
 
 

@@ -2,8 +2,9 @@
 
 The derivative oracles evaluate Richardson-extrapolated central finite
 differences of the log weight phi(t) = ln(1 + t^(-2*alpha)) in
-high-precision arithmetic, so they share no code path with the package's
-symbolic recurrence.
+high-precision arithmetic, and the exact numerators run a polynomial
+recurrence in sympy, so neither shares a code path with the package's
+closed form.
 """
 
 import mpmath as mp
@@ -131,23 +132,37 @@ def positive_roots_mp(p_coeffs, dps=60):
         )
 
 
-def transition_numerator_exact(order, alpha):
-    """P_order(alpha, z) as a sympy ``Poly`` in z, in exact arithmetic.
+def phi_derivative_exact(m, alpha):
+    """Q_m(alpha, z) with d^m phi/dt^m = t^(-m) Q_m(z) / (1+z)^m, as a sympy
+    ``Poly`` in z, in exact arithmetic.
 
-    Built from the recurrence documented in ``khab.transition``,
-    Q_1 = -2a, Q_{m+1} = (1+z)(2a z Q_m' - m Q_m) - 2a m z Q_m and
-    P_n = (-1)^n / (2a n!) [(1+z) Q_{n+1}' - (n+1) Q_{n+1}], with ``alpha``
-    a sympy Symbol or Rational; it shares no float step with the package.
+    Differentiating that normal form once more gives the recurrence
+    Q_1 = -2a, Q_{m+1} = (1+z)(2a z Q_m' - m Q_m) - 2a m z Q_m, run here with
+    ``alpha`` a sympy Symbol or Rational; it shares no float step with the
+    package.
     """
     import sympy as sp
 
     z = sp.Symbol("z")
     q = sp.Poly(-2 * alpha, z)
     zp = sp.Poly(z, z)
-    for m in range(1, order + 1):
-        inner = 2 * alpha * zp * q.diff(z) - m * q
-        q = (1 + zp) * inner - 2 * alpha * m * zp * q
-    bracket = (1 + zp) * q.diff(z) - (order + 1) * q
+    for k in range(1, m):
+        inner = 2 * alpha * zp * q.diff(z) - k * q
+        q = (1 + zp) * inner - 2 * alpha * k * zp * q
+    return q
+
+
+def transition_numerator_exact(order, alpha):
+    """P_order(alpha, z) as a sympy ``Poly`` in z, in exact arithmetic.
+
+    Applies the outer operator to :func:`phi_derivative_exact`:
+    P_n = (-1)^n / (2a n!) [(1+z) Q_{n+1}' - (n+1) Q_{n+1}].
+    """
+    import sympy as sp
+
+    q = phi_derivative_exact(order + 1, alpha)
+    z = q.gens[0]
+    bracket = (1 + sp.Poly(z, z)) * q.diff(z) - (order + 1) * q
     return sp.Poly(
         sp.expand(bracket.as_expr() * (-1) ** order / (2 * alpha * sp.factorial(order))),
         z,

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import khab
 from khab.cli import _default_tol, _emit_json, main
 from khab.counterexample import CounterexampleSpec, verify
 
@@ -79,6 +83,32 @@ class TestConstantsCommand:
         assert code == 0
         data = json.loads(out)
         assert data["m_minus_integral"] <= 0.0
+
+
+class TestOutOfRange:
+    # past the supported order, or where P leaves the float range, a CLI
+    # process fails at once with an error line and no traceback
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--n", "200", "--alpha", "3"],
+        ["transition", "--n", "400"],
+        ["constants", "--n", "3", "--alpha", "1e300"],
+        ["transition", "--n", "3", "--alpha", "1e300", "--format", "json"],
+    ])
+    def test_exits_one_without_traceback(self, argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(khab.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "khab.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=5)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
+
+    def test_help_states_n_range(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["constants", "--help"])
+        assert "1 <= n <= 171" in capsys.readouterr().out
 
 
 class TestCounterexampleCommand:

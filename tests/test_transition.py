@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 import sympy
 
 from khab.poly import RootCertificationError
 from khab.transition import (
+    MAX_ORDER,
     Params,
     build_transition,
     phi_derivative_poly,
@@ -17,9 +19,25 @@ from khab.transition import (
     transition_for,
 )
 
-from _oracles import log_grid, phi_derivative_fd, transition_fd
+from _oracles import (
+    log_grid,
+    phi_derivative_exact,
+    phi_derivative_fd,
+    transition_fd,
+    transition_numerator_exact,
+)
 
 T0 = 0.6**0.25
+ROUNDING_ALPHAS = (0.01, 0.3, 0.6731, 1.0, 3.0, 10.0, 100.0)
+
+
+def rounded_exact(poly):
+    """Ascending coefficients of an exact sympy Poly, each rounded once."""
+    return tuple(float(Fraction(int(c.p), int(c.q))) for c in reversed(poly.all_coeffs()))
+
+
+def exact_alpha(alpha):
+    return sympy.Rational(*alpha.as_integer_ratio())
 
 
 class TestParams:
@@ -59,6 +77,13 @@ class TestDerivativeRecurrence:
         oracle = phi_derivative_fd(t, alpha, m)
         assert abs(ours - oracle) <= 1e-5 * abs(oracle) + 1e-12
 
+    @pytest.mark.parametrize("alpha", ROUNDING_ALPHAS)
+    def test_correctly_rounded(self, alpha):
+        # each coefficient is the float nearest the exact recurrence's value
+        for m in range(1, 11):
+            want = rounded_exact(phi_derivative_exact(m, exact_alpha(alpha)))
+            assert phi_derivative_poly(m, alpha).coeffs == want, m
+
     def test_validation(self):
         with pytest.raises(ValueError):
             phi_derivative_poly(0, 1.0)
@@ -84,6 +109,36 @@ class TestBuild:
         for order in range(6):
             for alpha in (0.25, 1.0, 2.0):
                 assert build_transition(order, alpha).p_poly.degree == order
+
+    @pytest.mark.parametrize("alpha", ROUNDING_ALPHAS)
+    def test_correctly_rounded(self, alpha):
+        for order in range(25):
+            want = rounded_exact(transition_numerator_exact(order, exact_alpha(alpha)))
+            assert build_transition(order, alpha).p_poly.coeffs == want, order
+
+    @pytest.mark.parametrize("alpha", [0.125, 0.75, 1.0, 2.5, 7.0])
+    def test_end_coefficients_exact(self, alpha):
+        # p_order = prod (1 + 2a/k) and p_0 = prod (1 - 2a/k), rounded once
+        a = Fraction(alpha)
+        for order in (1, 5, 12, 30):
+            top, bottom = Fraction(1), Fraction(1)
+            for k in range(1, order + 1):
+                top *= 1 + 2 * a / k
+                bottom *= 1 - 2 * a / k
+            coeffs = build_transition(order, alpha).p_poly.coeffs
+            assert len(coeffs) == order + 1
+            assert coeffs[-1] == float(top)
+            assert coeffs[0] == float(bottom)
+
+    def test_order_limit(self):
+        assert build_transition(MAX_ORDER, 1.0).p_poly.degree == MAX_ORDER
+        with pytest.raises(ValueError, match="order must be an integer"):
+            build_transition(MAX_ORDER + 1, 1.0)
+
+    def test_coefficient_overflow_raises(self):
+        assert build_transition(1, 1e300).p_poly.coeffs == (-2e300, 2e300)
+        with pytest.raises(ValueError, match=r"P_2\(alpha=1e\+300\)"):
+            build_transition(2, 1e300)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -210,6 +265,20 @@ class TestSignPartition:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             sign_partition(build_transition(1, 2.0), 0.0)
+
+    def test_counts_match_exact_numerator(self):
+        # near-double roots, whose count a few ulps of coefficient error can
+        # move; the expectation is sympy's count on the exact numerator
+        z = sympy.Symbol("z")
+        cases = {(21, 1.0): 10, (22, 1.0): 11, (23, 1.0): 11,
+                 (23, 10.0): 21, (24, 1.0): 12, (24, 3.0): 20}
+        for (n, alpha), count in cases.items():
+            coeffs = transition_numerator_exact(n - 1, exact_alpha(alpha)).all_coeffs()
+            while coeffs[-1] == 0:  # z = 0 is no boundary
+                coeffs.pop()
+            assert sympy.Poly(coeffs, z).count_roots(0, sympy.oo) == count, (n, alpha)
+            part = sign_partition(transition_for(Params(n, alpha)), 1e-13)
+            assert len(part.boundary_ts) == count, (n, alpha)
 
     def test_sweep_counts_are_exact(self):
         # n = 1..25 x alpha in 0.01..100: roots reach z ~ 6e-26 and z ~ 2e7.
