@@ -8,7 +8,10 @@ premise and conclusion weights), ``convert`` (direct/inverse conversion of
 piecewise polynomials as JSON), and ``plotdata`` (CSV curves).
 
 Exit codes: 0 success, 1 verification failure or a stage that cannot
-compute (also ``--n`` > 171), 2 usage error.  ``--alpha``, ``--tol``, ``--t`` and
+compute (also ``--n`` > 171, or a C(n, alpha) whose rounding bound exceeds
+1e-3 of it), 2 usage error, 141 (128 + SIGPIPE) when the reader of
+standard output closes it early, as ``| head`` does, with nothing on
+standard error.  ``--alpha``, ``--tol``, ``--t`` and
 ``--y`` must be finite and > 0, and ``plotdata --from/--to`` finite.  Numeric text
 output prints 10 significant digits; JSON floats round-trip bit-exactly, and JSON
 output never holds NaN or infinity.
@@ -368,7 +371,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     _validate(parser, args)
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        # a closed pipe surfaces here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: nothing more can be written to it, and the
+        # flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except QuadratureError as exc:
         print(f"quadrature failure: {exc}", file=sys.stderr)
         return 1

@@ -37,6 +37,7 @@ from .quad import QuadResult, _check_tol
 from .transition import Params, sign_partition, transition_for
 
 _ROOT_TOL = 1e-13
+_MAX_REL_BOUND = 1e-3  # largest rounding bound of C, relative to C
 
 
 class ConstantsError(RuntimeError):
@@ -108,8 +109,10 @@ def compute_constants(params: Params, tol: float = 1e-9) -> ConstantsReport:
     (see the module docstring); ``tol`` is validated but has no effect, and
     root-certification failures propagate.  Every error field holds one
     rounding bound: (n+2) * eps * pi/2 times the summed |4*alpha*M[j][k]*p_k|.
-    A total d_0 * pi/2 off the closed form by more than that bound plus
-    1e-12 * max(1, closed form) raises :class:`ConstantsError`.
+    A bound above 1e-3 * C, where the rounding leaves C without a
+    meaningful digit (at alpha = 3 it does at n = 60, not at n = 50), and a
+    total d_0 * pi/2 off the closed form by more than the bound plus
+    1e-12 * max(1, closed form) raise :class:`ConstantsError`.
     """
     _check_tol(tol)
     tf = transition_for(params)
@@ -133,6 +136,11 @@ def compute_constants(params: Params, tol: float = 1e-9) -> ConstantsReport:
     m_minus = math.fsum(integral(lo, hi) for lo, hi, s in intervals if s < 0)
     magnitude = math.fsum(abs(x) for row in terms for x in row)
     bound = (n + 2) * math.ulp(1.0) * 0.5 * math.pi * magnitude
+    if not bound <= _MAX_REL_BOUND * c_upper:
+        raise ConstantsError(
+            f"C({n}, {alpha!r}) = {c_upper:.3e} has a rounding bound of "
+            f"{bound:.3e}, above {_MAX_REL_BOUND:g} of its size"
+        )
     closed = closed_form_total(params)
     residual = c_upper + m_minus - closed
     if abs(residual) > bound + 1e-12 * max(1.0, closed):

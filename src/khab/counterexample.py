@@ -22,16 +22,17 @@ so every eps in (0, 1] violates the conjectured bound while staying below
 the computed correction constant C(2, 2).
 
 The pair (n, alpha) = (2, 2) and t0 are fixed; eps is the only input.
-The C^3 gluing at t0 is checked once, by :func:`inverse_convert` in
-:func:`build_q`, and the premise once, on q, reading G from the
-closed-form table of (q, n) in one pass over the grid.  :func:`verify`
-builds q once and cross-checks the conclusion integral of
-:func:`lhs_integral` against the split route, the closed-form total
-d_0 * pi/2 of :func:`compute_constants` plus delta_I, computing each
-integral once, and what does not depend on eps once per process.  The
-conclusion integral takes the log singularity of its weight at 0 in closed
-form, -2 alpha times :func:`log_moment` of q's first piece, and only smooth
-integrands by quadrature.  A stage that cannot
+The family is affine in eps and both conversions are linear, so q and
+the premise come from a basis built once per process (:func:`_q_basis`):
+q_eps = q_0 + eps * q_Delta, and G(q_eps) = G_0 + eps * G_Delta on the
+premise grid.  The C^3 gluing at t0 is checked for the whole family at
+once, by :func:`inverse_convert` on g_0 and g_1 in :func:`build_q`.
+:func:`verify` cross-checks the conclusion integral of
+:func:`lhs_integral`, a quadrature of q_eps for each eps, against the
+split route, the closed-form total d_0 * pi/2 of :func:`compute_constants`
+plus delta_I.  The conclusion integral takes the log singularity of its
+weight at 0 in closed form, -2 alpha times :func:`log_moment` of q's first
+piece, and only smooth integrands by quadrature.  A stage that cannot
 compute raises; the report's failures are verdicts only.
 """
 
@@ -40,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import le, sub, truediv
 from typing import ClassVar, Sequence
 
 from .constants import ConstantsReport, compute_constants
@@ -143,6 +145,32 @@ def analyze_R() -> ExtremaReport:
     )
 
 
+@lru_cache(maxsize=1)
+def _q_basis() -> tuple[PiecewisePolynomial, PiecewisePolynomial]:
+    """q_0 and q_Delta with q_eps = q_0 + eps * q_Delta, once per process.
+
+    g_eps = t^2 (1 - eps h) is affine in eps and the inverse conversion is
+    linear, so q_eps is too: q_0 = :func:`build_q` at eps = 0, which is
+    12 t, and q_Delta = q_1 - q_0 piece by piece, whose last piece is
+    exactly zero.  Both come from :func:`build_q`, so
+    :func:`inverse_convert` gates g_0 and g_1; as g_eps = (1 - eps) g_0 +
+    eps g_1, every g_eps with eps in [0, 1] is then C^3 at t0 too.
+    """
+    q0 = build_q(CounterexampleSpec(0.0))
+    q1 = build_q(CounterexampleSpec(1.0))
+    delta = tuple(b - a for a, b in zip(q0.pieces, q1.pieces))
+    return q0, PiecewisePolynomial(q0.breakpoints, delta)
+
+
+def _q_at(eps: float) -> PiecewisePolynomial:
+    """q_0 + eps * q_Delta, piece by piece; beyond t0 it is q_0's 12 t."""
+    base, delta = _q_basis()
+    return PiecewisePolynomial(
+        base.breakpoints,
+        tuple(a + eps * d for a, d in zip(base.pieces, delta.pieces)),
+    )
+
+
 def default_premise_grid(t0: float = T0) -> list[float]:
     """200 log-spaced points over [1e-3, 1e3] plus the seam neighborhood."""
     return list(_premise_grid(t0))
@@ -163,38 +191,47 @@ class PremiseReport:
     worst_margin: float
 
 
-def _premise_holds(t: float, value: float) -> bool:
-    """0 <= value <= t^2 up to a rounding slack of 1e-12 * max(1, t^2)."""
-    slack = 1e-12 * max(1.0, t * t)
-    return -slack <= value <= t * t + slack
-
-
 def check_premise(
     spec: CounterexampleSpec, grid: Sequence[float] | None = None
 ) -> PremiseReport:
     """Check the premise 0 <= G(t) <= t^2 on q along a grid of t values.
 
-    G is the closed-form direct conversion of q = :func:`build_q`, read
-    from the table of (q, n) in one pass over the grid.  G = g is the claim
-    under test, not an axiom, and the closed form shares no step with
-    :func:`inverse_convert`, so it can refute it.  ``worst_margin`` is the
-    least (t*t - G(t))/t.
+    G is the closed-form direct conversion of q.  Both conversions are
+    linear, so G = G_0 + eps * G_Delta, with G_0 and G_Delta read from the
+    closed-form tables of q_0 and q_Delta (:func:`_q_basis`) once per grid
+    (a cache of a few grids); an eps then costs one multiply-add per point.
+    G = g is the claim under test, not an axiom, and the closed form shares
+    no step with :func:`inverse_convert`, so it can refute it.  The premise
+    allows a rounding slack of 1e-12 * max(1, t^2).  ``worst_margin`` is
+    the least (t*t - G(t))/t.
     """
-    return _premise(spec, build_q(spec), grid)
+    grid = _premise_grid(spec.t0) if grid is None else tuple(grid)
+    return _premise(spec.epsilon, grid)
 
 
-def _premise(
-    spec: CounterexampleSpec, q: PiecewisePolynomial, grid: Sequence[float] | None
-) -> PremiseReport:
-    if grid is None:
-        grid = _premise_grid(spec.t0)
+def _premise(eps: float, grid: tuple[float, ...]) -> PremiseReport:
+    base, delta, squares, lows, highs = _premise_basis(grid)
+    values = [a + eps * b for a, b in zip(base, delta)]
+    # (t*t - G)/t rather than t - G/t: the margin is then zero wherever G
+    # rounds to t*t, the bound the premise compares against
+    worst = min(map(truediv, map(sub, squares, values), grid))
+    ok = all(map(le, lows, values)) and all(map(le, values, highs))
+    return PremiseReport(ok, worst)
+
+
+@lru_cache(maxsize=4)
+def _premise_basis(grid: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
+    """Per t of the grid: G_0(t), G_Delta(t), t*t and the premise's lower
+    and upper bounds."""
     if not grid:
         raise ValueError("check_premise requires a nonempty grid")
-    converted = exact_direct_convert_grid(q, spec.params.n, grid)
-    # (t*t - G)/t rather than t - G/t: the margin is then zero wherever G
-    # rounds to t*t, the bound _premise_holds compares against
-    worst = min((t * t - v) / t for t, v in zip(grid, converted))
-    return PremiseReport(all(map(_premise_holds, grid, converted)), worst)
+    n = CounterexampleSpec.params.n
+    base, delta = (tuple(exact_direct_convert_grid(q, n, grid)) for q in _q_basis())
+    squares = tuple(t * t for t in grid)
+    slacks = [1e-12 * max(1.0, sq) for sq in squares]
+    lows = tuple(-slack for slack in slacks)
+    highs = tuple(sq + slack for sq, slack in zip(squares, slacks))
+    return base, delta, squares, lows, highs
 
 
 def delta_I(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
@@ -224,9 +261,12 @@ def _delta_I_base(tol: float) -> QuadResult:
 
 
 def lhs_integral(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
-    """Conclusion integral of q = :func:`build_q` against the log weight
-    ln(1 + t^(-2a)).
+    """Conclusion integral of q = q_0 + eps * q_Delta (:func:`_q_basis`)
+    against the log weight ln(1 + t^(-2a)).
 
+    The integral is a quadrature of q itself for every eps, not an affine
+    combination of cached integrals: it is the side of :func:`verify`'s
+    cross-check that does not lean on linearity in eps, which delta_I does.
     The range is split at q's breakpoints, where q has a kink.  On (0, b1)
     the weight is -2a ln t + log1p(t^(2a)): the log part, the only singular
     one, is integrated in closed form by :func:`log_moment`, the smooth rest
@@ -236,10 +276,9 @@ def lhs_integral(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
     quadrature is cached on the last piece's coefficients, the breakpoint,
     2a and its share of ``tol`` (a few entries), so a sweep over eps, whose
     q is 12 t beyond t0 for every eps, integrates it once; a q whose last
-    piece differs misses and is integrated afresh.  :func:`verify`
-    cross-checks it against the split route.
+    piece differs misses and is integrated afresh.
     """
-    return _lhs(spec, build_q(spec), tol)
+    return _lhs(spec, _q_at(spec.epsilon), tol)
 
 
 def log_moment(p: Polynomial, b: float) -> QuadResult:
@@ -374,11 +413,18 @@ class VerificationReport:
 def verify(spec: CounterexampleSpec, tol: float = 1e-9) -> VerificationReport:
     """Assemble the full report, computing each integral once.
 
-    What does not depend on eps is computed once per process and tol, in
-    caches of a few entries each: the premise grid, delta_I's base integral,
-    the half-line part of the conclusion integral (keyed on q's last piece,
-    so it is only reused for the same piece) and C(2, 2).  A sweep over eps
-    pays for them at its first eps.
+    What does not depend on eps is computed once per process (and tol), in
+    caches of a few entries each: the basis q_0, q_Delta of
+    :func:`_q_basis`, whose two inverse conversions gate the C^3 gluing of
+    every g_eps; the premise grid with G_0 and G_Delta on it; delta_I's
+    base integral; the half-line part of the conclusion integral (keyed on
+    q's last piece, so it is only reused for the same piece); and C(2, 2).
+    A sweep over eps pays for them at its first eps.  Every later eps runs
+    no inverse conversion, no table build and no half-line quadrature: q
+    and G are affine combinations, and the premise one pass over the grid.
+    It still integrates q's first piece against the smooth part of the
+    weight on (0, t0): the conclusion integral is the side of the
+    cross-check that does not lean on linearity in eps.
 
     ``lhs_cross_difference`` is :func:`lhs_integral` minus the split route,
     the total d_0 * pi/2 of :func:`compute_constants` plus :func:`delta_I`.
@@ -386,9 +432,8 @@ def verify(spec: CounterexampleSpec, tol: float = 1e-9) -> VerificationReport:
     premise violated, delta_I not positive, routes disagreeing, or the
     bound C(n, alpha) exceeded.  A stage that cannot compute raises.
     """
-    q = build_q(spec)
-    premise = _premise(spec, q, None)
-    lhs = _lhs(spec, q, tol)
+    premise = _premise(spec.epsilon, _premise_grid(spec.t0))
+    lhs = _lhs(spec, _q_at(spec.epsilon), tol)
     excess = delta_I(spec, tol)
     consts = _family_constants(tol)
     total = consts.total_integral

@@ -19,6 +19,14 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
+def child_env() -> dict:
+    """The environment of a ``python -m khab.cli`` process on this khab."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(khab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestTransitionCommand:
     def test_headline_values(self, capsys):
         code, out, _ = run(capsys, ["transition", "--n", "2", "--alpha", "2", "--t", "1"])
@@ -93,13 +101,12 @@ class TestOutOfRange:
         ["transition", "--n", "400"],
         ["constants", "--n", "3", "--alpha", "1e300"],
         ["transition", "--n", "3", "--alpha", "1e300", "--format", "json"],
+        ["constants", "--n", "60", "--alpha", "3"],
     ])
     def test_exits_one_without_traceback(self, argv):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(khab.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-m", "khab.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=5)
+        done = subprocess.run([sys.executable, "-m", "khab.cli", *argv],
+                              env=child_env(), capture_output=True, text=True,
+                              timeout=5)
         assert done.returncode == 1
         assert done.stderr.startswith("error:")
         assert "Traceback" not in done.stderr
@@ -321,6 +328,21 @@ class TestPlotdataCommand:
         )
         assert code == 0
         assert out.strip() == "x,value"
+
+    def test_closed_pipe_exits_141_silently(self):
+        # a reader that stops early, as `| head -2` does, is no error
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "khab.cli", "plotdata", "--kind", "transition",
+             "--points", "100000"],
+            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"x,value\n"
+        proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
     def test_csv_values_round_trip(self, capsys):
         code, out, _ = run(

@@ -190,6 +190,14 @@ class TestClosedForm:
         with pytest.raises(ConstantsError, match="closed-form total"):
             compute_constants(Params(3, 2.0), 1e-9)
 
+    def test_bound_beyond_a_thousandth_raises(self):
+        # at alpha = 3 the rounding bound grows with n: 3.6e-4 of C at
+        # n = 50, which returns, and 3.4e-2 at n = 60, which is refused
+        rep = compute_constants(Params(50, 3.0), 1e-9)
+        assert 1e-4 * rep.c_upper <= rep.c_upper_error <= 1e-3 * rep.c_upper
+        with pytest.raises(ConstantsError, match=r"C\(60, 3\.0\) .* rounding bound"):
+            compute_constants(Params(60, 3.0), 1e-9)
+
     def test_total_is_d0_half_pi(self):
         rep = compute_constants(Params(3, 2.0), 1e-9)
         assert rep.total_integral.value == pytest.approx(12.0 * math.pi, rel=1e-15)

@@ -40,10 +40,21 @@ C22 = 19.65507202058854
 SIX_PI = 6.0 * math.pi
 
 _CACHES = (
+    ce._q_basis,
     ce._premise_grid,
+    ce._premise_basis,
     ce._delta_I_base,
     ce._halfline_piece,
     ce._family_constants,
+)
+
+EPS_GRIDS = pytest.mark.parametrize(
+    "eps_grid",
+    [
+        [k / 200.0 for k in range(201)],
+        [10.0 ** (-4.0 + 2.0 * i / 40.0) for i in range(41)],
+    ],
+    ids=["linear", "log"],
 )
 
 
@@ -201,14 +212,7 @@ class TestPremise:
         assert rep.ok
         assert abs(rep.worst_margin) <= 1e-6
 
-    @pytest.mark.parametrize(
-        "eps_grid",
-        [
-            [k / 200.0 for k in range(201)],
-            [10.0 ** (-4.0 + 2.0 * i / 40.0) for i in range(41)],
-        ],
-        ids=["linear", "log"],
-    )
+    @EPS_GRIDS
     def test_holds_for_every_eps(self, eps_grid):
         # both routes hold at every grid point, including those far past
         # q's kink at t0 where unsplit quadrature misses g (eps = 0.145)
@@ -223,17 +227,38 @@ class TestPremise:
 
     @pytest.mark.parametrize("eps", [0.0, 0.001, 0.145, 0.5, 1.0])
     def test_one_pass_margin_matches_pointwise(self, eps):
-        # the grid pass reads the same G, bit for bit, as one closed-form
-        # conversion per point, on the default grid and at q's breakpoints
+        # the grid pass, G = G_0 + eps * G_Delta, gives the least margin of
+        # one closed-form conversion of q per point up to rounding, on the
+        # default grid and at q's breakpoints; at eps = 0, bit for bit
         spec = CounterexampleSpec(eps)
         q = build_q(spec)
         grid = [*default_premise_grid(), *q.breakpoints]
         pointwise = [exact_direct_convert(q, 2, t) for t in grid]
         rep = check_premise(spec, grid)
+        want = min((t * t - v) / t for t, v in zip(grid, pointwise))
         assert rep.ok
-        assert rep.worst_margin == min(
-            (t * t - v) / t for t, v in zip(grid, pointwise)
-        )
+        assert abs(rep.worst_margin - want) <= 1e-13
+        if eps == 0.0:
+            assert rep.worst_margin == want
+
+    @EPS_GRIDS
+    def test_basis_matches_per_q_conversion(self, eps_grid):
+        # over the sweep, G from the basis is the closed form on q itself
+        # within rounding, point by point, and the verdict is the same
+        grid = (*default_premise_grid(), T0)
+        for eps in eps_grid:
+            spec = CounterexampleSpec(eps)
+            q = build_q(spec)
+            per_q = [exact_direct_convert(q, 2, t) for t in grid]
+            base, delta = ce._premise_basis(grid)[:2]
+            got = [a + eps * d for a, d in zip(base, delta)]
+            for t, want, g in zip(grid, per_q, got):
+                assert abs(g - want) <= 1e-13 * max(1.0, t * t), (eps, t)
+            holds = all(
+                -1e-12 * max(1.0, t * t) <= v <= t * t + 1e-12 * max(1.0, t * t)
+                for t, v in zip(grid, per_q)
+            )
+            assert check_premise(spec, grid).ok == holds, eps
 
     def test_default_grid_is_a_fresh_list(self):
         grid = default_premise_grid()
@@ -245,12 +270,10 @@ class TestPremise:
         with pytest.raises(ValueError, match="nonempty grid"):
             check_premise(CounterexampleSpec(1.0), grid=[])
 
-    def test_numeric_route_catches_bad_conversion(self, monkeypatch):
+    def test_numeric_route_catches_bad_conversion(self, monkeypatch, cold):
         # a q whose direct conversion overshoots t^2 beyond t0 breaks the
-        # premise: G = 1.001 t^2 there, while the profile g is unchanged
-        import khab.counterexample as ce
-        from khab.conversion import PiecewisePolynomial
-
+        # premise: G = 1.001 t^2 there, while the profile g is unchanged;
+        # the basis is built from the scaled q at eps = 0 and 1
         def scaled_q(spec):
             q = build_q(spec)
             return PiecewisePolynomial(q.breakpoints, tuple(1.001 * p for p in q.pieces))
@@ -369,7 +392,8 @@ class TestVerify:
     def test_each_integral_computed_once(self, monkeypatch, cold):
         # across a sweep over eps, each eps-independent integral is computed
         # once: delta_I's base, C(2, 2) and the half-line part of the
-        # conclusion integral
+        # conclusion integral; a warm eps integrates only the conclusion
+        # integral's smooth part on (0, t0), once
         import khab.constants as constants
 
         calls = {}
@@ -383,14 +407,18 @@ class TestVerify:
 
             monkeypatch.setattr(module, name, wrapper)
 
+        counting(ce, "integrate")
         counting(ce, "integrate_halfline")
         counting(ce, "delta_I")
         counting(ce, "compute_constants")
         sweep = (1.0, 0.145, 0.5)
         for eps in sweep:
             assert verify(CounterexampleSpec(eps)).failures == ()
+            if eps == sweep[0]:
+                first = calls["integrate"]
         # compute_constants is closed-form, with no quadrature of its own
         assert calls == {
+            "integrate": first + len(sweep) - 1,
             "delta_I": len(sweep),
             "compute_constants": 1,
             "integrate_halfline": 1,
@@ -428,9 +456,9 @@ class TestVerify:
         assert lhs_integral(spec) == family
         assert len(calls) == 2
 
-    def test_q_built_once(self, monkeypatch):
-        import khab.counterexample as ce
-
+    def test_q_built_once(self, monkeypatch, cold):
+        # q is built for the basis, at eps = 0 and 1, once per process, and
+        # never for a warm eps
         built = []
 
         def counting(spec):
@@ -439,7 +467,38 @@ class TestVerify:
 
         monkeypatch.setattr(ce, "build_q", counting)
         verify(CounterexampleSpec(0.5))
-        assert built == [CounterexampleSpec(0.5)]
+        verify(CounterexampleSpec(0.25))
+        assert built == [CounterexampleSpec(0.0), CounterexampleSpec(1.0)]
+
+    def test_warm_verify_builds_nothing_anew(self, monkeypatch, cold):
+        # after the first eps, verify runs no inverse conversion, no
+        # closed-form table build and no half-line quadrature; its one
+        # quadrature is the conclusion integral of q on (0, t0)
+        import khab.conversion as conversion
+
+        first = verify(CounterexampleSpec(1.0))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("computed on a warm eps")
+
+        for module, name in [
+            (ce, "build_q"),
+            (ce, "inverse_convert"),
+            (ce, "integrate_halfline"),
+            (conversion, "_direct_table"),
+        ]:
+            monkeypatch.setattr(module, name, forbidden)
+        spans = []
+
+        def integrating(f, a, b, tol):
+            spans.append((a, b))
+            return integrate(f, a, b, tol)
+
+        monkeypatch.setattr(ce, "integrate", integrating)
+        rep = verify(CounterexampleSpec(0.37))
+        assert rep.failures == () and rep.violated
+        assert spans == [(0.0, T0)]
+        assert repr(verify(CounterexampleSpec(1.0))) == repr(first)
 
     @pytest.mark.parametrize(
         "error",
@@ -473,7 +532,7 @@ class TestVerify:
         }
 
 
-def test_gluing_error_fires_on_coefficient_bug(monkeypatch):
+def test_gluing_error_fires_on_coefficient_bug(monkeypatch, cold):
     # a cubic-order zero at the seam breaks the third gluing condition
     import khab.counterexample as ce
 
