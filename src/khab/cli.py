@@ -135,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="direct/inverse conversion of a "
                        "piecewise polynomial (JSON {breakpoints, pieces})")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=2, help=_N_HELP)
     direction = p.add_mutually_exclusive_group(required=True)
     direction.add_argument("--inverse", action="store_true",
                            help="profile g -> test function q")
@@ -314,6 +314,8 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    if args.n > MAX_ORDER + 1:
+        raise ValueError(f"convert requires n <= {MAX_ORDER + 1}, got {args.n}")
     with open(args.input, "r", encoding="utf-8") as fh:
         pw = PiecewisePolynomial.from_dict(json.load(fh))
     if args.inverse:

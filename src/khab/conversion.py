@@ -69,8 +69,8 @@ class PiecewisePolynomial:
 
     def __post_init__(self) -> None:
         bps = tuple(float(b) for b in self.breakpoints)
-        if any(b <= 0 for b in bps):
-            raise ValueError("breakpoints must be positive")
+        if not all(math.isfinite(b) and b > 0 for b in bps):
+            raise ValueError("breakpoints must be finite and positive")
         if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         pieces = tuple(
@@ -111,10 +111,37 @@ class PiecewisePolynomial:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PiecewisePolynomial":
+        """Read ``{"breakpoints": [...], "pieces": [[...], ...]}``, as from
+        JSON; a malformed object raises ValueError naming the fault."""
+        if not isinstance(data, dict):
+            raise ValueError(
+                "a piecewise polynomial must be an object with "
+                f"'breakpoints' and 'pieces', got {type(data).__name__}"
+            )
+        for key in ("breakpoints", "pieces"):
+            if not isinstance(data.get(key), list):
+                raise ValueError(f"a piecewise polynomial needs a list {key!r}")
+        pieces = []
+        for i, coeffs in enumerate(data["pieces"]):
+            if not isinstance(coeffs, list):
+                raise ValueError(f"piece {i} must be a list of coefficients")
+            pieces.append(Polynomial(tuple(_finite(c, f"piece {i}") for c in coeffs)))
         return cls(
-            tuple(data["breakpoints"]),
-            tuple(Polynomial(tuple(c)) for c in data["pieces"]),
+            tuple(_finite(b, "breakpoints") for b in data["breakpoints"]),
+            tuple(pieces),
         )
+
+
+def _finite(x: object, where: str) -> float:
+    """x as a finite float, or ValueError naming ``where``."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            value = float(x)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise ValueError(f"{where} must hold finite numbers, got {x!r}")
 
 
 def _pieces(q: Callable[[float], float], t: float) -> list[tuple[float, float]]:

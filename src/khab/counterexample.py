@@ -22,11 +22,14 @@ so every eps in (0, 1] violates the conjectured bound while staying below
 the computed correction constant C(2, 2).
 
 The pair (n, alpha) = (2, 2) and t0 are fixed; eps is the only input.
-The family is affine in eps and both conversions are linear, so q and
-the premise come from a basis built once per process (:func:`_q_basis`):
-q_eps = q_0 + eps * q_Delta, and G(q_eps) = G_0 + eps * G_Delta on the
-premise grid.  The C^3 gluing at t0 is checked for the whole family at
-once, by :func:`inverse_convert` on g_0 and g_1 in :func:`build_q`.
+The family is affine in eps and both conversions are linear, so what does
+not depend on eps sits in three caches, filled once per process: the basis
+q_0, q_Delta with q_eps = q_0 + eps * q_Delta (:func:`_q_basis`); G_0 and
+G_Delta with G(q_eps) = G_0 + eps * G_Delta on a premise grid
+(:func:`_premise_basis`); and, per tol, the integrals that are the same
+for every eps (:func:`_per_tol`).  The C^3 gluing at t0 is checked for the
+whole family at once, by :func:`inverse_convert` on g_0 and g_1 in
+:func:`build_q`.
 :func:`verify` cross-checks the conclusion integral of
 :func:`lhs_integral`, a quadrature of q_eps for each eps, against the
 split route, the closed-form total d_0 * pi/2 of :func:`compute_constants`
@@ -42,7 +45,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import le, sub, truediv
-from typing import ClassVar, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 from .constants import ConstantsReport, compute_constants
 from .conversion import (
@@ -151,36 +154,32 @@ def _q_basis() -> tuple[PiecewisePolynomial, PiecewisePolynomial]:
 
     g_eps = t^2 (1 - eps h) is affine in eps and the inverse conversion is
     linear, so q_eps is too: q_0 = :func:`build_q` at eps = 0, which is
-    12 t, and q_Delta = q_1 - q_0 piece by piece, whose last piece is
-    exactly zero.  Both come from :func:`build_q`, so
-    :func:`inverse_convert` gates g_0 and g_1; as g_eps = (1 - eps) g_0 +
-    eps g_1, every g_eps with eps in [0, 1] is then C^3 at t0 too.
+    12 t, and q_Delta = q_1 - q_0 piece by piece.  Both come from
+    :func:`build_q`, so :func:`inverse_convert` gates g_0 and g_1; as
+    g_eps = (1 - eps) g_0 + eps g_1, every g_eps with eps in [0, 1] is then
+    C^3 at t0 too.  q_Delta's last piece must be exactly zero: beyond t0
+    every q_eps is q_0's 12 t, whose half-line integral :func:`_per_tol`
+    computes once for the whole family.
     """
     q0 = build_q(CounterexampleSpec(0.0))
     q1 = build_q(CounterexampleSpec(1.0))
     delta = tuple(b - a for a, b in zip(q0.pieces, q1.pieces))
+    if not delta[-1].is_zero():
+        raise RuntimeError(f"q_1 - q_0 beyond t0 is {delta[-1].coeffs!r}, not zero")
     return q0, PiecewisePolynomial(q0.breakpoints, delta)
 
 
-def _q_at(eps: float) -> PiecewisePolynomial:
-    """q_0 + eps * q_Delta, piece by piece; beyond t0 it is q_0's 12 t."""
-    base, delta = _q_basis()
-    return PiecewisePolynomial(
-        base.breakpoints,
-        tuple(a + eps * d for a, d in zip(base.pieces, delta.pieces)),
+_DEFAULT_GRID = tuple(
+    sorted(
+        [10.0 ** (-3.0 + 6.0 * i / 199.0) for i in range(200)]
+        + [T0 - 1e-6, T0 + 1e-6]
     )
+)
 
 
-def default_premise_grid(t0: float = T0) -> list[float]:
+def default_premise_grid() -> list[float]:
     """200 log-spaced points over [1e-3, 1e3] plus the seam neighborhood."""
-    return list(_premise_grid(t0))
-
-
-@lru_cache(maxsize=4)
-def _premise_grid(t0: float) -> tuple[float, ...]:
-    pts = [10.0 ** (-3.0 + 6.0 * i / 199.0) for i in range(200)]
-    pts.extend((t0 - 1e-6, t0 + 1e-6))
-    return tuple(sorted(pts))
+    return list(_DEFAULT_GRID)
 
 
 @dataclass(frozen=True)
@@ -199,18 +198,16 @@ def check_premise(
     G is the closed-form direct conversion of q.  Both conversions are
     linear, so G = G_0 + eps * G_Delta, with G_0 and G_Delta read from the
     closed-form tables of q_0 and q_Delta (:func:`_q_basis`) once per grid
-    (a cache of a few grids); an eps then costs one multiply-add per point.
+    (:func:`_premise_basis`, a cache of a few grids; the default grid is
+    one module-level tuple); an eps then costs one multiply-add per point.
     G = g is the claim under test, not an axiom, and the closed form shares
     no step with :func:`inverse_convert`, so it can refute it.  The premise
     allows a rounding slack of 1e-12 * max(1, t^2).  ``worst_margin`` is
     the least (t*t - G(t))/t.
     """
-    grid = _premise_grid(spec.t0) if grid is None else tuple(grid)
-    return _premise(spec.epsilon, grid)
-
-
-def _premise(eps: float, grid: tuple[float, ...]) -> PremiseReport:
+    grid = _DEFAULT_GRID if grid is None else tuple(grid)
     base, delta, squares, lows, highs = _premise_basis(grid)
+    eps = spec.epsilon
     values = [a + eps * b for a, b in zip(base, delta)]
     # (t*t - G)/t rather than t - G/t: the margin is then zero wherever G
     # rounds to t*t, the bound the premise compares against
@@ -238,47 +235,85 @@ def delta_I(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
     """Excess of the conclusion integral over the closed-form total.
 
     The base integral of Phi_1(2,t) t^2 h(t) over (0, t0) does not depend
-    on eps: it is computed once per process and tol (a cache of a few tols)
-    and scaled by -eps, exposing the exact linearity in eps.
+    on eps: it is computed once per process and tol (:func:`_per_tol`) and
+    scaled by -eps, exposing the exact linearity in eps.
     """
     _check_tol(tol)
-    base = _delta_I_base(tol)
+    base = _per_tol(tol).delta_I_base
     eps = spec.epsilon
     return QuadResult(
         -eps * base.value, abs(eps) * base.abs_error_estimate, base.subdivisions
     )
 
 
-@lru_cache(maxsize=8)
-def _delta_I_base(tol: float) -> QuadResult:
-    tf = transition_for(CounterexampleSpec.params)
-    h = build_h(T0)
-
-    def f(t: float) -> float:
-        return transition_eval(tf, t) * t * t * h(t)
-
-    return integrate(f, 0.0, T0, tol)
-
-
 def lhs_integral(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
     """Conclusion integral of q = q_0 + eps * q_Delta (:func:`_q_basis`)
     against the log weight ln(1 + t^(-2a)).
 
-    The integral is a quadrature of q itself for every eps, not an affine
-    combination of cached integrals: it is the side of :func:`verify`'s
-    cross-check that does not lean on linearity in eps, which delta_I does.
-    The range is split at q's breakpoints, where q has a kink.  On (0, b1)
-    the weight is -2a ln t + log1p(t^(2a)): the log part, the only singular
-    one, is integrated in closed form by :func:`log_moment`, the smooth rest
-    by quadrature.  The other finite pieces and the half-line from the last
-    breakpoint are quadratures of the piece's polynomial against the weight,
-    with ``tol`` shared equally among all quadratures.  The half-line
-    quadrature is cached on the last piece's coefficients, the breakpoint,
-    2a and its share of ``tol`` (a few entries), so a sweep over eps, whose
-    q is 12 t beyond t0 for every eps, integrates it once; a q whose last
-    piece differs misses and is integrated afresh.
+    The range is split at q's one breakpoint t0, where q has a kink.  On
+    (0, t0) the integral is a quadrature of q's head q_0 + eps * q_Delta,
+    formed for each eps, not an affine combination of cached integrals: it
+    is the side of :func:`verify`'s cross-check that does not lean on
+    linearity in eps, which delta_I does.  There the weight is
+    -2a ln t + log1p(t^(2a)): the log part, the only singular one, is
+    integrated in closed form by :func:`log_moment`, the smooth rest by
+    quadrature at tol/2.  Beyond t0 every q_eps is 12 t, whose half-line
+    integral against the weight, at the other tol/2, is computed once per
+    process and tol (:func:`_per_tol`).
     """
-    return _lhs(spec, _q_at(spec.epsilon), tol)
+    _check_tol(tol)
+    base, delta = _q_basis()
+    head = base.pieces[0] + spec.epsilon * delta.pieces[0]
+    two_alpha = 2.0 * spec.params.alpha
+    log_part = log_moment(head, spec.t0)
+
+    def smooth_rest(t: float) -> float:
+        return head(t) * math.log1p(t**two_alpha)
+
+    parts = (
+        QuadResult(
+            -two_alpha * log_part.value, two_alpha * log_part.abs_error_estimate, 0
+        ),
+        integrate(smooth_rest, 0.0, spec.t0, tol / 2),
+        _per_tol(tol).halfline,
+    )
+    return QuadResult(
+        math.fsum(p.value for p in parts),
+        math.fsum(p.abs_error_estimate for p in parts),
+        sum(p.subdivisions for p in parts),
+    )
+
+
+class _PerTol(NamedTuple):
+    """What :func:`verify` needs at one tol that is the same for every eps."""
+
+    halfline: QuadResult
+    delta_I_base: QuadResult
+    constants: ConstantsReport
+
+
+@lru_cache(maxsize=8)
+def _per_tol(tol: float) -> _PerTol:
+    """Once per process and tol: the half-line part of the conclusion
+    integral, 12 t against the log weight over (t0, inf) at tol/2;
+    delta_I's base integral of Phi_1(2,t) t^2 h(t) over (0, t0); and
+    C(2, 2) with its consistency data."""
+    params = CounterexampleSpec.params
+    two_alpha = 2.0 * params.alpha
+    tail = _q_basis()[0].pieces[-1]
+    tf = transition_for(params)
+    h = build_h(T0)
+
+    def base_integrand(t: float) -> float:
+        return transition_eval(tf, t) * t * t * h(t)
+
+    return _PerTol(
+        halfline=integrate_halfline(
+            lambda t: tail(t) * _log_weight(t, two_alpha), T0, tol / 2
+        ),
+        delta_I_base=integrate(base_integrand, 0.0, T0, tol),
+        constants=compute_constants(params, tol),
+    )
 
 
 def log_moment(p: Polynomial, b: float) -> QuadResult:
@@ -308,55 +343,6 @@ def log_moment(p: Polynomial, b: float) -> QuadResult:
     return QuadResult(
         math.fsum(terms), 8.0 * _EPS * size + math.ulp(0.0) * floor, 0
     )
-
-
-def _lhs(
-    spec: CounterexampleSpec, q: PiecewisePolynomial, tol: float
-) -> QuadResult:
-    _check_tol(tol)
-    two_alpha = 2.0 * spec.params.alpha
-    edges = (0.0, *q.breakpoints)
-    share = tol / len(edges)
-    head = q.pieces[0]
-    log_part = log_moment(head, edges[1])
-
-    def smooth_rest(t: float) -> float:
-        return head(t) * math.log1p(t**two_alpha)
-
-    parts = [
-        QuadResult(
-            -two_alpha * log_part.value, two_alpha * log_part.abs_error_estimate, 0
-        ),
-        integrate(smooth_rest, 0.0, edges[1], share),
-    ]
-    parts.extend(
-        integrate(_weighted(p, two_alpha), a, b, share)
-        for p, a, b in zip(q.pieces[1:], edges[1:], edges[2:])
-    )
-    parts.append(_halfline_piece(q.pieces[-1], edges[-1], two_alpha, share))
-    return QuadResult(
-        math.fsum(p.value for p in parts),
-        math.fsum(p.abs_error_estimate for p in parts),
-        sum(p.subdivisions for p in parts),
-    )
-
-
-def _weighted(p: Polynomial, two_alpha: float):
-    return lambda t: p(t) * _log_weight(t, two_alpha)
-
-
-@lru_cache(maxsize=8)
-def _halfline_piece(
-    p: Polynomial, a: float, two_alpha: float, tol: float
-) -> QuadResult:
-    """p against the log weight over (a, inf), keyed on p's value."""
-    return integrate_halfline(_weighted(p, two_alpha), a, tol)
-
-
-@lru_cache(maxsize=8)
-def _family_constants(tol: float) -> ConstantsReport:
-    """C(2, 2) and its consistency data, the same for every eps."""
-    return compute_constants(CounterexampleSpec.params, tol)
 
 
 @dataclass(frozen=True)
@@ -413,17 +399,18 @@ class VerificationReport:
 def verify(spec: CounterexampleSpec, tol: float = 1e-9) -> VerificationReport:
     """Assemble the full report, computing each integral once.
 
-    What does not depend on eps is computed once per process (and tol), in
-    caches of a few entries each: the basis q_0, q_Delta of
-    :func:`_q_basis`, whose two inverse conversions gate the C^3 gluing of
-    every g_eps; the premise grid with G_0 and G_Delta on it; delta_I's
-    base integral; the half-line part of the conclusion integral (keyed on
-    q's last piece, so it is only reused for the same piece); and C(2, 2).
-    A sweep over eps pays for them at its first eps.  Every later eps runs
-    no inverse conversion, no table build and no half-line quadrature: q
-    and G are affine combinations, and the premise one pass over the grid.
-    It still integrates q's first piece against the smooth part of the
-    weight on (0, t0): the conclusion integral is the side of the
+    The report runs the public stages :func:`check_premise`,
+    :func:`lhs_integral` and :func:`delta_I`, once each.  What does not
+    depend on eps is computed once per process in three caches of a few
+    entries each: the basis q_0, q_Delta of :func:`_q_basis`, whose two
+    inverse conversions gate the C^3 gluing of every g_eps; G_0 and G_Delta
+    on the premise grid (:func:`_premise_basis`, keyed on the grid); and,
+    per tol, the half-line part of the conclusion integral, delta_I's base
+    integral and C(2, 2) (:func:`_per_tol`).  A sweep over eps pays for
+    them at its first eps.  Every later eps runs no inverse conversion, no
+    table build and no half-line quadrature: the premise is one pass over
+    the grid, and the conclusion integral forms q's head on (0, t0) and
+    integrates it against the smooth part of the weight, the side of the
     cross-check that does not lean on linearity in eps.
 
     ``lhs_cross_difference`` is :func:`lhs_integral` minus the split route,
@@ -432,10 +419,10 @@ def verify(spec: CounterexampleSpec, tol: float = 1e-9) -> VerificationReport:
     premise violated, delta_I not positive, routes disagreeing, or the
     bound C(n, alpha) exceeded.  A stage that cannot compute raises.
     """
-    premise = _premise(spec.epsilon, _premise_grid(spec.t0))
-    lhs = _lhs(spec, _q_at(spec.epsilon), tol)
+    premise = check_premise(spec)
+    lhs = lhs_integral(spec, tol)
     excess = delta_I(spec, tol)
-    consts = _family_constants(tol)
+    consts = _per_tol(tol).constants
     total = consts.total_integral
     cross = lhs.value - (total.value + excess.value)
     bound_ok = lhs.value <= consts.c_upper + (

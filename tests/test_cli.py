@@ -112,9 +112,29 @@ class TestOutOfRange:
         assert "Traceback" not in done.stderr
         assert done.stdout == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", "172", "--inverse"],
+        ["--n", "2000", "--direct", "--t", "2"],
+    ])
+    def test_convert_order_beyond_range(self, tmp_path, argv):
+        # once, an OverflowError traceback from (n - 1)! or C(n, k)
+        q_file = tmp_path / "q.json"
+        q_file.write_text(json.dumps({"breakpoints": [], "pieces": [[0, 0, 1]]}))
+        done = subprocess.run(
+            [sys.executable, "-m", "khab.cli", "convert", *argv, "--input", str(q_file)],
+            env=child_env(), capture_output=True, text=True, timeout=5,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error:")
+        assert "n <= 171" in done.stderr and "Traceback" not in done.stderr
+        assert done.stdout == ""
+
     def test_help_states_n_range(self, capsys):
         with pytest.raises(SystemExit):
             main(["constants", "--help"])
+        assert "1 <= n <= 171" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["convert", "--help"])
         assert "1 <= n <= 171" in capsys.readouterr().out
 
 
@@ -276,6 +296,30 @@ class TestConvertCommand:
             main(["convert", "--direct", "--n", "2", "--input", str(q_file), "--t", t])
         assert excinfo.value.code == 2
         assert "--t must be finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, fault", [
+        ('{"breakpoints": []}', "'pieces'"),
+        ('{"pieces": [[1]]}', "'breakpoints'"),
+        ("[1, 2]", "must be an object"),
+        ('{"breakpoints": [], "pieces": [1]}', "piece 0 must be a list"),
+        ('{"breakpoints": [NaN], "pieces": [[1], [1]]}', "breakpoints must hold finite"),
+        ('{"breakpoints": [Infinity], "pieces": [[1], [1]]}', "breakpoints must hold finite"),
+        ('{"breakpoints": [], "pieces": [[NaN]]}', "piece 0 must hold finite"),
+        ('{"breakpoints": [], "pieces": [["1"]]}', "piece 0 must hold finite"),
+        ('{"breakpoints": [], "pieces": [[1e400]]}', "piece 0 must hold finite"),
+    ])
+    @pytest.mark.parametrize("direction", [["--inverse"], ["--direct", "--t", "2"]])
+    def test_malformed_input_is_one_error_line(self, capsys, tmp_path, text, fault,
+                                               direction):
+        # once, these ended in a KeyError or TypeError traceback, or printed
+        # g(2) = 1 or nan with exit 0
+        q_file = tmp_path / "q.json"
+        q_file.write_text(text)
+        code, out, err = run(capsys, ["convert", *direction, "--input", str(q_file)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert fault in err
 
     def test_missing_file_is_runtime_error(self, capsys):
         code, _, err = run(

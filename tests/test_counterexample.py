@@ -39,14 +39,7 @@ LHS_1 = 18.86255035661829
 C22 = 19.65507202058854
 SIX_PI = 6.0 * math.pi
 
-_CACHES = (
-    ce._q_basis,
-    ce._premise_grid,
-    ce._premise_basis,
-    ce._delta_I_base,
-    ce._halfline_piece,
-    ce._family_constants,
-)
+_CACHES = (ce._q_basis, ce._premise_basis, ce._per_tol)
 
 EPS_GRIDS = pytest.mark.parametrize(
     "eps_grid",
@@ -423,7 +416,7 @@ class TestVerify:
             "compute_constants": 1,
             "integrate_halfline": 1,
         }
-        assert ce._delta_I_base.cache_info().misses == 1
+        assert ce._per_tol.cache_info().misses == 1
         assert not {"integrate", "integrate_halfline"} & set(vars(constants))
 
     @pytest.mark.parametrize("eps", [0.0, 0.001, 0.145, 0.5, 1.0])
@@ -435,26 +428,41 @@ class TestVerify:
         verify(CounterexampleSpec(0.37))
         assert repr(verify(CounterexampleSpec(eps)).to_dict()) == cold_report
 
-    def test_halfline_cache_keyed_on_last_piece(self, monkeypatch, cold):
-        # a q whose last piece differs from 12 t is integrated afresh, not
-        # read from the cache the family filled
+    def test_caches_are_the_three_listed(self):
+        # the cold fixture empties every eps-independent cache there is
+        cached = {
+            name for name, obj in vars(ce).items() if hasattr(obj, "cache_clear")
+        }
+        assert cached == {cache.__name__ for cache in _CACHES}
+
+    def test_runs_each_public_stage_once(self, monkeypatch):
+        # verify's premise, conclusion integral and delta_I are the public
+        # stages themselves, with no private twin
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return integrate_halfline(*args, **kwargs)
+        for name in ("check_premise", "lhs_integral", "delta_I"):
+            fn = getattr(ce, name)
 
-        monkeypatch.setattr(ce, "integrate_halfline", counting)
-        spec = CounterexampleSpec(1.0)
-        q = build_q(spec)
-        family = lhs_integral(spec)
-        assert len(calls) == 1
-        bent = PiecewisePolynomial(q.breakpoints, (q.pieces[0], 1.5 * q.pieces[1]))
-        other = ce._lhs(spec, bent, 1e-9)
-        assert len(calls) == 2
-        assert other.value != family.value
-        assert lhs_integral(spec) == family
-        assert len(calls) == 2
+            def wrapper(*args, _fn=fn, _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(ce, name, wrapper)
+        assert verify(CounterexampleSpec(0.5)).failures == ()
+        assert sorted(calls) == ["check_premise", "delta_I", "lhs_integral"]
+
+    def test_nonzero_last_delta_piece_rejected(self, monkeypatch, cold):
+        # the family-wide half-line integral holds only if every q_eps is
+        # q_0 beyond t0, so a q_1 that differs there is refused
+        def bent_q(spec):
+            q = build_q(spec)
+            if spec.epsilon == 0.0:
+                return q
+            return PiecewisePolynomial(q.breakpoints, (q.pieces[0], 1.5 * q.pieces[1]))
+
+        monkeypatch.setattr(ce, "build_q", bent_q)
+        with pytest.raises(RuntimeError, match="not zero"):
+            verify(CounterexampleSpec(0.5))
 
     def test_q_built_once(self, monkeypatch, cold):
         # q is built for the basis, at eps = 0 and 1, once per process, and
