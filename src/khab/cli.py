@@ -16,8 +16,9 @@ standard error.  ``--alpha``, ``--tol``, ``--t`` and
 output prints 10 significant digits; JSON floats round-trip bit-exactly, and JSON
 output never holds NaN or infinity.
 The default tolerance is 1e-9, overridable by the KHAB_TOL environment
-variable and per-run by ``--tol``; ``constants``, ``convert`` and
-``plotdata`` compute in closed form and ignore it.
+variable and per-run by ``--tol``; ``transition``, ``constants``,
+``convert`` and ``plotdata`` compute in closed form, with roots located to
+a fixed accuracy, and ignore it.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         help="absolute quadrature tolerance (default 1e-9, env KHAB_TOL); "
-        "no effect on constants, convert and plotdata",
+        "no effect on transition, constants, convert and plotdata",
     )
     p.add_argument(
         "--format",
@@ -197,7 +198,7 @@ def _emit_json(data: dict) -> None:
 
 def _cmd_transition(args) -> int:
     tf = build_transition(args.n - 1, args.alpha)
-    part = sign_partition(tf, min(args.tol, 1e-12))
+    part = sign_partition(tf)
     ts = args.t or []
     values = [(t, transition_eval(tf, t)) for t in ts]
     if args.format == "json":
@@ -338,7 +339,7 @@ def _cmd_plotdata(args) -> int:
     if kind == "R3":
         f = _R3
     elif kind == "h":
-        f = build_h(T0)
+        f = build_h()
     elif kind == "g":
         f = build_g(CounterexampleSpec(args.epsilon))
     elif kind == "q":

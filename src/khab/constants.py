@@ -36,7 +36,6 @@ from functools import cache
 from .quad import QuadResult, _check_tol
 from .transition import Params, sign_partition, transition_for
 
-_ROOT_TOL = 1e-13
 _MAX_REL_BOUND = 1e-3  # largest rounding bound of C, relative to C
 
 
@@ -116,7 +115,7 @@ def compute_constants(params: Params, tol: float = 1e-9) -> ConstantsReport:
     """
     _check_tol(tol)
     tf = transition_for(params)
-    part = sign_partition(tf, _ROOT_TOL)
+    part = sign_partition(tf)
     n, alpha = params.n, params.alpha
     terms = [
         [4.0 * alpha * m * c for m, c in zip(row, tf.p_poly.coeffs)]

@@ -40,7 +40,7 @@ from .poly import Polynomial
 from .quad import integrate
 from .transition import Params
 
-_SMOOTH_RTOL = 1e-9
+_SMOOTH_RTOL = 1e-9  # relative tolerance of the gluing conditions
 
 
 class SmoothnessError(ValueError):
@@ -79,6 +79,9 @@ class PiecewisePolynomial:
         )
         if len(pieces) != len(bps) + 1:
             raise ValueError("need exactly one piece more than breakpoints")
+        for i, p in enumerate(pieces):
+            if not all(map(math.isfinite, p.coeffs)):
+                raise ValueError(f"piece {i} must hold finite coefficients")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "pieces", pieces)
 
@@ -88,18 +91,14 @@ class PiecewisePolynomial:
     def __call__(self, t: float) -> float:
         return self.pieces[self.piece_index(t)](t)
 
-    def derivative(self) -> "PiecewisePolynomial":
-        return PiecewisePolynomial(
-            self.breakpoints, tuple(p.derivative() for p in self.pieces)
-        )
-
-    def check_smoothness(self, k: int, rtol: float = _SMOOTH_RTOL) -> None:
-        """Require value and derivatives 1..k to match at every breakpoint."""
+    def check_smoothness(self, k: int) -> None:
+        """Require value and derivatives 1..k to match at every breakpoint,
+        each within _SMOOTH_RTOL * max(1, |left|, |right|)."""
         left = list(self.pieces)
         for order in range(k + 1):
             for i, b in enumerate(self.breakpoints):
                 lo, hi = left[i](b), left[i + 1](b)
-                if abs(lo - hi) > rtol * max(1.0, abs(lo), abs(hi)):
+                if abs(lo - hi) > _SMOOTH_RTOL * max(1.0, abs(lo), abs(hi)):
                     raise SmoothnessError(b, order, lo, hi)
             left = [p.derivative() for p in left]
 

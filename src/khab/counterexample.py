@@ -23,13 +23,12 @@ the computed correction constant C(2, 2).
 
 The pair (n, alpha) = (2, 2) and t0 are fixed; eps is the only input.
 The family is affine in eps and both conversions are linear, so what does
-not depend on eps sits in three caches, filled once per process: the basis
-q_0, q_Delta with q_eps = q_0 + eps * q_Delta (:func:`_q_basis`); G_0 and
-G_Delta with G(q_eps) = G_0 + eps * G_Delta on a premise grid
-(:func:`_premise_basis`); and, per tol, the integrals that are the same
-for every eps (:func:`_per_tol`).  The C^3 gluing at t0 is checked for the
-whole family at once, by :func:`inverse_convert` on g_0 and g_1 in
-:func:`build_q`.
+not depend on eps sits in two caches, filled once per process: the basis
+q_0, q_Delta with q_eps = q_0 + eps * q_Delta, with G_0 and G_Delta with
+G(q_eps) = G_0 + eps * G_Delta on :data:`PREMISE_GRID` (:func:`_basis`);
+and, per tol, the integrals that are the same for every eps
+(:func:`_per_tol`).  The C^3 gluing at t0 is checked for the whole family
+at once, by :func:`inverse_convert` on g_0 and g_1 in :func:`build_q`.
 :func:`verify` cross-checks the conclusion integral of
 :func:`lhs_integral`, a quadrature of q_eps for each eps, against the
 split route, the closed-form total d_0 * pi/2 of :func:`compute_constants`
@@ -45,7 +44,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import le, sub, truediv
-from typing import ClassVar, NamedTuple, Sequence
+from typing import ClassVar, NamedTuple
 
 from .constants import ConstantsReport, compute_constants
 from .conversion import (
@@ -77,20 +76,16 @@ class CounterexampleSpec:
             raise ValueError("epsilon must lie in [0, 1]")
 
 
-def build_h(t0: float) -> Polynomial:
+def build_h() -> Polynomial:
     """h(t) = (t - t0)^4 / t0^4, expanded in t."""
-    if not t0 > 0:
-        raise ValueError("t0 must be positive")
     return Polynomial(
-        tuple(
-            math.comb(4, k) * (-t0) ** (4 - k) / t0**4 for k in range(5)
-        )
+        tuple(math.comb(4, k) * (-T0) ** (4 - k) / T0**4 for k in range(5))
     )
 
 
-def build_r(t0: float) -> Polynomial:
+def build_r() -> Polynomial:
     """r(t) = R((t0 - t)/t0) as a polynomial in t."""
-    return _R.compose(Polynomial((1.0, -1.0 / t0)))
+    return _R.compose(Polynomial((1.0, -1.0 / T0)))
 
 
 def build_g(spec: CounterexampleSpec) -> PiecewisePolynomial:
@@ -99,7 +94,7 @@ def build_g(spec: CounterexampleSpec) -> PiecewisePolynomial:
     Its gluing at t0 is checked by :func:`build_q`, not here.
     """
     t_sq = Polynomial((0.0, 0.0, 1.0))
-    deformed = t_sq - spec.epsilon * (t_sq * build_h(spec.t0))
+    deformed = t_sq - spec.epsilon * (t_sq * build_h())
     return PiecewisePolynomial((spec.t0,), (deformed, t_sq))
 
 
@@ -129,7 +124,7 @@ class ExtremaReport:
 def analyze_R() -> ExtremaReport:
     """Factor R = R3 * tau, locate R3's critical points on [0, 1] and
     certify R(tau) <= 1 there."""
-    crits = [c for c in positive_roots(_R3.derivative(), 1e-14) if c < 1.0]
+    crits = [c for c in positive_roots(_R3.derivative()) if c < 1.0]
     tau_max, tau_min = crits[0], crits[1]
     candidates = [0.0, tau_max, tau_min, 1.0]
     max_r3 = max(_R3(c) for c in candidates)
@@ -148,9 +143,32 @@ def analyze_R() -> ExtremaReport:
     )
 
 
+# 200 log-spaced points over [1e-3, 1e3] plus the seam neighborhood
+PREMISE_GRID = tuple(
+    sorted(
+        [10.0 ** (-3.0 + 6.0 * i / 199.0) for i in range(200)]
+        + [T0 - 1e-6, T0 + 1e-6]
+    )
+)
+
+
+class _Basis(NamedTuple):
+    """What does not depend on eps: q_eps = q_0 + eps * q_delta, and per t
+    of :data:`PREMISE_GRID` G_0(t), G_Delta(t), t*t and the premise's lower
+    and upper bounds."""
+
+    q0: PiecewisePolynomial
+    q_delta: PiecewisePolynomial
+    g0: tuple[float, ...]
+    g_delta: tuple[float, ...]
+    squares: tuple[float, ...]
+    lows: tuple[float, ...]
+    highs: tuple[float, ...]
+
+
 @lru_cache(maxsize=1)
-def _q_basis() -> tuple[PiecewisePolynomial, PiecewisePolynomial]:
-    """q_0 and q_Delta with q_eps = q_0 + eps * q_Delta, once per process.
+def _basis() -> _Basis:
+    """The eps-independent record of the family, once per process.
 
     g_eps = t^2 (1 - eps h) is affine in eps and the inverse conversion is
     linear, so q_eps is too: q_0 = :func:`build_q` at eps = 0, which is
@@ -159,27 +177,28 @@ def _q_basis() -> tuple[PiecewisePolynomial, PiecewisePolynomial]:
     g_eps = (1 - eps) g_0 + eps g_1, every g_eps with eps in [0, 1] is then
     C^3 at t0 too.  q_Delta's last piece must be exactly zero: beyond t0
     every q_eps is q_0's 12 t, whose half-line integral :func:`_per_tol`
-    computes once for the whole family.
+    computes once for the whole family.  The direct conversion is linear
+    too, so G_0 and G_Delta are read from the closed-form tables of q_0
+    and q_Delta, one pass over the grid each.
     """
     q0 = build_q(CounterexampleSpec(0.0))
     q1 = build_q(CounterexampleSpec(1.0))
     delta = tuple(b - a for a, b in zip(q0.pieces, q1.pieces))
     if not delta[-1].is_zero():
         raise RuntimeError(f"q_1 - q_0 beyond t0 is {delta[-1].coeffs!r}, not zero")
-    return q0, PiecewisePolynomial(q0.breakpoints, delta)
-
-
-_DEFAULT_GRID = tuple(
-    sorted(
-        [10.0 ** (-3.0 + 6.0 * i / 199.0) for i in range(200)]
-        + [T0 - 1e-6, T0 + 1e-6]
+    q_delta = PiecewisePolynomial(q0.breakpoints, delta)
+    n = CounterexampleSpec.params.n
+    squares = tuple(t * t for t in PREMISE_GRID)
+    slacks = [1e-12 * max(1.0, sq) for sq in squares]
+    return _Basis(
+        q0,
+        q_delta,
+        tuple(exact_direct_convert_grid(q0, n, PREMISE_GRID)),
+        tuple(exact_direct_convert_grid(q_delta, n, PREMISE_GRID)),
+        squares,
+        tuple(-slack for slack in slacks),
+        tuple(sq + slack for sq, slack in zip(squares, slacks)),
     )
-)
-
-
-def default_premise_grid() -> list[float]:
-    """200 log-spaced points over [1e-3, 1e3] plus the seam neighborhood."""
-    return list(_DEFAULT_GRID)
 
 
 @dataclass(frozen=True)
@@ -190,45 +209,26 @@ class PremiseReport:
     worst_margin: float
 
 
-def check_premise(
-    spec: CounterexampleSpec, grid: Sequence[float] | None = None
-) -> PremiseReport:
-    """Check the premise 0 <= G(t) <= t^2 on q along a grid of t values.
+def check_premise(spec: CounterexampleSpec) -> PremiseReport:
+    """Check the premise 0 <= G(t) <= t^2 on q at each t of
+    :data:`PREMISE_GRID`.
 
     G is the closed-form direct conversion of q.  Both conversions are
-    linear, so G = G_0 + eps * G_Delta, with G_0 and G_Delta read from the
-    closed-form tables of q_0 and q_Delta (:func:`_q_basis`) once per grid
-    (:func:`_premise_basis`, a cache of a few grids; the default grid is
-    one module-level tuple); an eps then costs one multiply-add per point.
-    G = g is the claim under test, not an axiom, and the closed form shares
-    no step with :func:`inverse_convert`, so it can refute it.  The premise
-    allows a rounding slack of 1e-12 * max(1, t^2).  ``worst_margin`` is
-    the least (t*t - G(t))/t.
+    linear, so G = G_0 + eps * G_Delta, with G_0 and G_Delta computed once
+    per process (:func:`_basis`); an eps then costs one multiply-add per
+    point.  G = g is the claim under test, not an axiom, and the closed
+    form shares no step with :func:`inverse_convert`, so it can refute it.
+    The premise allows a rounding slack of 1e-12 * max(1, t^2).
+    ``worst_margin`` is the least (t*t - G(t))/t.
     """
-    grid = _DEFAULT_GRID if grid is None else tuple(grid)
-    base, delta, squares, lows, highs = _premise_basis(grid)
+    basis = _basis()
     eps = spec.epsilon
-    values = [a + eps * b for a, b in zip(base, delta)]
+    values = [a + eps * b for a, b in zip(basis.g0, basis.g_delta)]
     # (t*t - G)/t rather than t - G/t: the margin is then zero wherever G
     # rounds to t*t, the bound the premise compares against
-    worst = min(map(truediv, map(sub, squares, values), grid))
-    ok = all(map(le, lows, values)) and all(map(le, values, highs))
+    worst = min(map(truediv, map(sub, basis.squares, values), PREMISE_GRID))
+    ok = all(map(le, basis.lows, values)) and all(map(le, values, basis.highs))
     return PremiseReport(ok, worst)
-
-
-@lru_cache(maxsize=4)
-def _premise_basis(grid: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
-    """Per t of the grid: G_0(t), G_Delta(t), t*t and the premise's lower
-    and upper bounds."""
-    if not grid:
-        raise ValueError("check_premise requires a nonempty grid")
-    n = CounterexampleSpec.params.n
-    base, delta = (tuple(exact_direct_convert_grid(q, n, grid)) for q in _q_basis())
-    squares = tuple(t * t for t in grid)
-    slacks = [1e-12 * max(1.0, sq) for sq in squares]
-    lows = tuple(-slack for slack in slacks)
-    highs = tuple(sq + slack for sq, slack in zip(squares, slacks))
-    return base, delta, squares, lows, highs
 
 
 def delta_I(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
@@ -247,7 +247,7 @@ def delta_I(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
 
 
 def lhs_integral(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
-    """Conclusion integral of q = q_0 + eps * q_Delta (:func:`_q_basis`)
+    """Conclusion integral of q = q_0 + eps * q_Delta (:func:`_basis`)
     against the log weight ln(1 + t^(-2a)).
 
     The range is split at q's one breakpoint t0, where q has a kink.  On
@@ -262,8 +262,8 @@ def lhs_integral(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
     process and tol (:func:`_per_tol`).
     """
     _check_tol(tol)
-    base, delta = _q_basis()
-    head = base.pieces[0] + spec.epsilon * delta.pieces[0]
+    basis = _basis()
+    head = basis.q0.pieces[0] + spec.epsilon * basis.q_delta.pieces[0]
     two_alpha = 2.0 * spec.params.alpha
     log_part = log_moment(head, spec.t0)
 
@@ -300,9 +300,9 @@ def _per_tol(tol: float) -> _PerTol:
     C(2, 2) with its consistency data."""
     params = CounterexampleSpec.params
     two_alpha = 2.0 * params.alpha
-    tail = _q_basis()[0].pieces[-1]
+    tail = _basis().q0.pieces[-1]
     tf = transition_for(params)
-    h = build_h(T0)
+    h = build_h()
 
     def base_integrand(t: float) -> float:
         return transition_eval(tf, t) * t * t * h(t)
@@ -401,12 +401,11 @@ def verify(spec: CounterexampleSpec, tol: float = 1e-9) -> VerificationReport:
 
     The report runs the public stages :func:`check_premise`,
     :func:`lhs_integral` and :func:`delta_I`, once each.  What does not
-    depend on eps is computed once per process in three caches of a few
-    entries each: the basis q_0, q_Delta of :func:`_q_basis`, whose two
-    inverse conversions gate the C^3 gluing of every g_eps; G_0 and G_Delta
-    on the premise grid (:func:`_premise_basis`, keyed on the grid); and,
-    per tol, the half-line part of the conclusion integral, delta_I's base
-    integral and C(2, 2) (:func:`_per_tol`).  A sweep over eps pays for
+    depend on eps is computed once per process in two caches: the basis
+    q_0, q_Delta, whose two inverse conversions gate the C^3 gluing of
+    every g_eps, with G_0 and G_Delta on the premise grid (:func:`_basis`);
+    and, per tol, the half-line part of the conclusion integral, delta_I's
+    base integral and C(2, 2) (:func:`_per_tol`).  A sweep over eps pays for
     them at its first eps.  Every later eps runs no inverse conversion, no
     table build and no half-line quadrature: the premise is one pass over
     the grid, and the conclusion integral forms q's head on (0, t0) and

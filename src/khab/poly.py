@@ -13,14 +13,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quad import _check_tol
+# Every root z is located to within _ROOT_TOL * min(1, z): relative below
+# z = 1, absolute above.  Bisecting on to one ulp would cost more exact sign
+# evaluations for no digit that C(n, alpha) keeps, since a root error
+# enters it only quadratically.
+_ROOT_TOL = 1e-13
+_TOL_NUM, _TOL_DEN = _ROOT_TOL.as_integer_ratio()
 
 
 class RootCertificationError(RuntimeError):
     """Root count could not be certified (e.g. a suspected multiple root).
 
-    Callers should tighten the tolerance or handle the polynomial
-    analytically.
+    Callers should handle the polynomial analytically.
     """
 
 
@@ -138,16 +142,14 @@ def _sign_at(a: list[int], x: float) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _refine(
-    a: list[int], lo: float, hi: float, sign_lo: int, tol: float, reciprocal: bool
-) -> float:
+def _refine(a: list[int], lo: float, hi: float, sign_lo: int, reciprocal: bool) -> float:
     """Bisect the bracket (lo, hi) of one simple root of ``a`` in x until
     the root z (x, or 1/x if ``reciprocal``) is known to within
-    tol/4 * min(1, z), or to one ulp.  ``sign_lo`` is the sign of ``a`` just
-    above lo, which may itself be a root."""
+    _ROOT_TOL/4 * min(1, z), or to one ulp.  ``sign_lo`` is the sign of
+    ``a`` just above lo, which may itself be a root."""
     while True:
         # z below 1: relative width of (lo, hi); z above 1: 1/lo - 1/hi
-        bound = 0.25 * tol * lo * (hi if reciprocal else 1.0)
+        bound = 0.25 * _ROOT_TOL * lo * (hi if reciprocal else 1.0)
         mid = 0.5 * (lo + hi)
         if hi - lo <= bound or not lo < mid < hi:
             break
@@ -168,7 +170,7 @@ def _refine(
     return z
 
 
-def _unit_roots(a: list[int], tol: float, reciprocal: bool) -> list[float]:
+def _unit_roots(a: list[int], reciprocal: bool) -> list[float]:
     """Roots z of ``a`` for x in (0, 1), where z = x or z = 1/x.
 
     Each node is the open interval (c/2**k, (c+1)/2**k) with the integer
@@ -176,9 +178,8 @@ def _unit_roots(a: list[int], tol: float, reciprocal: bool) -> list[float]:
     variations of (1+x)**deg * q(1/(1+x)) bound their number from above and
     equal it when 0 or 1; a node is split with 2**deg * q(x/2) and its
     Taylor shift by 1.  A node that keeps two or more variations once its
-    z-width is below tol * min(1, z) raises, which bounds the depth.
+    z-width is below _ROOT_TOL * min(1, z) raises, which bounds the depth.
     """
-    tol_num, tol_den = float(tol).as_integer_ratio()
     roots = []
     stack = [(a, 0, 0)]
     while stack:
@@ -190,20 +191,20 @@ def _unit_roots(a: list[int], tol: float, reciprocal: bool) -> list[float]:
         if v == 1:
             # q(x) is a(lo + x*(hi - lo)) times a positive factor
             sign_lo = 1 if next(coef for coef in q if coef) > 0 else -1
-            roots.append(_refine(a, lo, hi, sign_lo, tol, reciprocal))
+            roots.append(_refine(a, lo, hi, sign_lo, reciprocal))
             continue
-        # z-width below tol * min(1, z): 2**k/(c*(c+1)) <= tol in z = 1/x,
-        # 1/2**k <= tol * c/2**k in z = x
+        # z-width below _ROOT_TOL * min(1, z): 2**k/(c*(c+1)) <= _ROOT_TOL
+        # in z = 1/x, 1/2**k <= _ROOT_TOL * c/2**k in z = x
         if reciprocal:
-            narrow = (tol_den << k) <= tol_num * c * (c + 1)
+            narrow = (_TOL_DEN << k) <= _TOL_NUM * c * (c + 1)
         else:
-            narrow = tol_den <= tol_num * c
+            narrow = _TOL_DEN <= _TOL_NUM * c
         if narrow:
             z_lo, z_hi = (1.0 / hi, 1.0 / lo) if reciprocal else (lo, hi)
             raise RootCertificationError(
                 f"{v} sign variations left on z in ({z_lo:.17g}, {z_hi:.17g}), "
-                f"narrower than tol = {tol}: a multiple root or a root cluster; "
-                "tighten tol or treat analytically"
+                f"narrower than {_ROOT_TOL:g} * min(1, z): a multiple root or "
+                "a root cluster; treat analytically"
             )
         deg = len(q) - 1
         left = [coef << (deg - i) for i, coef in enumerate(q)]
@@ -220,9 +221,9 @@ def _unit_roots(a: list[int], tol: float, reciprocal: bool) -> list[float]:
     return roots
 
 
-def positive_roots(p: Polynomial, tol: float) -> list[float]:
+def positive_roots(p: Polynomial) -> list[float]:
     """All roots of ``p`` in (0, inf), sorted, each located to within
-    ``tol * min(1, z)``, or to one ulp.
+    1e-13 * min(1, z), or to one ulp where that is coarser.
 
     The float coefficients are read exactly as integers, and the roots are
     isolated by Descartes' rule of signs with bisection on (0, 1) and, for
@@ -230,12 +231,12 @@ def positive_roots(p: Polynomial, tol: float) -> list[float]:
     is no search window: every positive root of the exact coefficients is
     found.  Each isolated root is refined by bisection on float midpoints,
     each step decided by the exact sign of ``p``, so every root reported is
-    simple and ``p`` changes sign there.  A multiple root, or roots closer
-    together than ``tol * min(1, z)``, raise :class:`RootCertificationError`.
+    simple and ``p`` changes sign there.  A multiple root, or a cluster of
+    roots that bisection has not separated once its intervals are
+    1e-13 * min(1, z) wide, raises :class:`RootCertificationError`.
     """
     if p.is_zero():
         raise ValueError("positive_roots requires a nonzero polynomial")
-    _check_tol(tol)
 
     a = _integer_coeffs(p.coeffs)
     while a[0] == 0:  # roots at zero are outside (0, inf)
@@ -248,5 +249,5 @@ def positive_roots(p: Polynomial, tol: float) -> list[float]:
         if sum(k * c for k, c in enumerate(a)) == 0:
             raise RootCertificationError("multiple root at z = 1.0")
         roots.append(1.0)
-    roots += _unit_roots(a, tol, False) + _unit_roots(a[::-1], tol, True)
+    roots += _unit_roots(a, False) + _unit_roots(a[::-1], True)
     return sorted(roots)

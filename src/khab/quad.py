@@ -52,7 +52,7 @@ _WG = (
 )
 
 _EPS = math.ulp(1.0)
-_MAX_PANELS_DEFAULT = 20000
+_MAX_PANELS = 20000  # panel budget of one finite-interval integral
 
 
 @dataclass(frozen=True)
@@ -121,16 +121,12 @@ def _gk15(f: Callable[[float], float], a: float, b: float):
 
 
 def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float,
-    max_panels: int = _MAX_PANELS_DEFAULT,
+    f: Callable[[float], float], a: float, b: float, tol: float
 ) -> QuadResult:
     """Integrate ``f`` over the open interval (a, b) to absolute tolerance.
 
     Raises :class:`QuadratureError` with the best estimate attached if the
-    panel budget runs out first.
+    panel budget, ``_MAX_PANELS``, runs out first.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integrate requires finite endpoints")
@@ -167,9 +163,9 @@ def integrate(
             raise QuadratureError(
                 "no refinable panels left above tolerance", totals()
             )
-        if n_panels + 2 > max_panels:
+        if n_panels + 2 > _MAX_PANELS:
             raise QuadratureError(
-                f"panel budget {max_panels} exhausted "
+                f"panel budget {_MAX_PANELS} exhausted "
                 f"(error estimate {err_sum:.3e} > tol {tol:.3e})",
                 totals(),
             )
@@ -200,10 +196,7 @@ def integrate(
 
 
 def integrate_halfline(
-    f: Callable[[float], float],
-    a: float,
-    tol: float,
-    max_panels: int = _MAX_PANELS_DEFAULT,
+    f: Callable[[float], float], a: float, tol: float
 ) -> QuadResult:
     """Integrate ``f`` over (a, inf) for integrands with algebraic decay.
 
@@ -229,10 +222,10 @@ def integrate_halfline(
             # divide twice: v*v can underflow where f(t)/v/v cannot
             return f(t) / v / v
 
-        return integrate(g, 0.0, 1.0, tail_tol, max_panels=max_panels)
+        return integrate(g, 0.0, 1.0, tail_tol)
 
     if a == 0.0:
-        head = integrate(f, 0.0, 1.0, 0.5 * tol, max_panels=max_panels)
+        head = integrate(f, 0.0, 1.0, 0.5 * tol)
         tail = tail_from(1.0, 0.5 * tol)
         return QuadResult(
             head.value + tail.value,

@@ -157,18 +157,20 @@ def transition_eval(tf: TransitionFunction, t: float) -> float:
     return scale * w * acc / (1.0 + w) ** tf.exponent
 
 
-def sign_partition(tf: TransitionFunction, tol: float) -> SignPartition:
+def sign_partition(tf: TransitionFunction) -> SignPartition:
     """Split (0, inf) into maximal intervals of constant sign of Phi.
 
     Boundaries are the certified positive z-roots of the numerator
-    polynomial mapped to t; root-certification failures propagate.  Every
-    certified root is simple, so the sign starts as that of P's lowest
-    nonzero coefficient (P near z = 0+) and flips at each boundary.
-    ``tol`` is validated by :func:`positive_roots`.
+    polynomial, each located by :func:`positive_roots` to within
+    1e-13 * min(1, z), mapped to t.  A multiple root, or a cluster that
+    bisection has not separated at that width, raises
+    RootCertificationError.  Every certified root is simple, so the sign
+    starts as that of P's lowest nonzero coefficient (P near z = 0+) and
+    flips at each boundary.
     """
     if tf.p_poly.is_zero():
         raise ValueError("transition numerator is identically zero")
-    z_roots = positive_roots(tf.p_poly, tol)
+    z_roots = positive_roots(tf.p_poly)
     exponent = 1.0 / (2.0 * tf.alpha)
     boundary = tuple(z**exponent for z in z_roots)
     lowest = next(c for c in tf.p_poly.coeffs if c != 0.0)

@@ -159,7 +159,7 @@ def test_criterion_08_extrema():
 
 def test_criterion_09_root_boundary():
     with criterion(9, "sign boundary equals (3/5)^(1/4) to 1e-12"):
-        part = sign_partition(transition_for(Params(2, 2.0)), 1e-12)
+        part = sign_partition(transition_for(Params(2, 2.0)))
         assert len(part.boundary_ts) == 1
         assert abs(part.boundary_ts[0] - 0.6**0.25) <= 1e-12
 

@@ -50,6 +50,16 @@ class TestTransitionCommand:
         assert data["p_coeffs"] == [-3.0, 5.0]
         assert data["values"][0]["phi"] == pytest.approx(4.0)
 
+    def test_tol_has_no_effect(self, capsys, monkeypatch):
+        # the sign boundaries are located to a fixed 1e-13 relative accuracy
+        monkeypatch.delenv("KHAB_TOL", raising=False)
+        argv = ["transition", "--n", "7", "--alpha", "3", "--format", "json"]
+        outputs = {run(capsys, argv + extra) for extra in
+                   ([], ["--tol", "1e-3"], ["--tol", "1e-15"])}
+        assert len(outputs) == 1
+        ((code, out, _),) = outputs
+        assert code == 0 and len(json.loads(out)["boundaries"]) == 5
+
     def test_usage_error_on_bad_alpha(self, capsys):
         for alpha in ("-1", "inf", "nan"):
             with pytest.raises(SystemExit) as excinfo:

@@ -247,7 +247,7 @@ class TestRootIntegralConsistency:
     @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5])
     def test_empty_negative_part_iff_no_positive_roots(self, n, alpha):
         tf = build_transition(n - 1, alpha)
-        part = sign_partition(tf, 1e-12)
+        part = sign_partition(tf)
         has_roots = len(part.boundary_ts) > 0
         rep = compute_constants(Params(n, alpha), 1e-9)
         if has_roots:

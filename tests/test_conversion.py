@@ -16,11 +16,11 @@ from khab.conversion import (
     inverse_convert,
 )
 from khab.counterexample import (
+    PREMISE_GRID,
     CounterexampleSpec,
     build_g,
     build_h,
     build_q,
-    default_premise_grid,
 )
 from khab.poly import Polynomial
 from khab.transition import Params
@@ -48,11 +48,19 @@ class TestPiecewisePolynomial:
         with pytest.raises(ValueError):
             PiecewisePolynomial((1.0,), (Polynomial(),))
 
-    def test_derivative_is_piecewise(self):
-        pw = PiecewisePolynomial((1.0,), (T_SQ, Polynomial((0.0, 2.0))))
-        d = pw.derivative()
-        assert d.pieces[0].coeffs == (0.0, 2.0)
-        assert d.pieces[1].coeffs == (2.0,)
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=repr)
+    def test_non_finite_coefficient_rejected(self, bad):
+        # once, inverse_convert of g = (inf t^2, t^2 | b = 1) returned
+        # q = (inf t, 12 t) past the C^3 gate, and the closed-form direct
+        # conversion of a NaN piece returned nan
+        with pytest.raises(ValueError, match="piece 0 must hold finite"):
+            inverse_convert(
+                PiecewisePolynomial((1.0,), (Polynomial((0.0, 0.0, bad)), T_SQ)), 2
+            )
+        with pytest.raises(ValueError, match="piece 1 must hold finite"):
+            exact_direct_convert(
+                PiecewisePolynomial((1.0,), (T_SQ, Polynomial((bad,)))), 2, 2.0
+            )
 
     def test_json_round_trip(self):
         pw = PiecewisePolynomial((T0,), (Polynomial((1.0, -2.5)), T_SQ))
@@ -74,7 +82,7 @@ class TestDirectConvert:
         spec = CounterexampleSpec(1.0)
         q = build_q(spec)
         t = T0 / 2
-        h = build_h(T0)
+        h = build_h()
         expected = t * t * (1.0 - h(t))
         got = direct_convert(q, spec.params, t, 1e-11)
         assert got == pytest.approx(expected, abs=1e-9)
@@ -224,7 +232,7 @@ class TestExactDirect:
     @pytest.mark.parametrize("eps", [0.0, 0.001, 0.145, 0.5, 1.0])
     def test_grid_pass_bit_identical_to_pointwise(self, eps):
         q = build_q(CounterexampleSpec(eps))
-        ts = [*default_premise_grid(), *q.breakpoints]
+        ts = [*PREMISE_GRID, *q.breakpoints]
         pointwise = [exact_direct_convert(q, 2, t).hex() for t in ts]
         assert [g.hex() for g in exact_direct_convert_grid(q, 2, ts)] == pointwise
 
@@ -232,7 +240,7 @@ class TestExactDirect:
         q1 = build_q(CounterexampleSpec(0.3))
         q2 = build_q(CounterexampleSpec(0.3))
         assert q1 == q2 and q1 is not q2
-        ts = [*default_premise_grid(), *q1.breakpoints]
+        ts = [*PREMISE_GRID, *q1.breakpoints]
         first = [exact_direct_convert(q1, 2, t).hex() for t in ts]
         assert [exact_direct_convert(q2, 2, t).hex() for t in ts] == first
         # a table rebuilt from the other object gives the same bits

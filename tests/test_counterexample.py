@@ -11,6 +11,7 @@ import khab.counterexample as ce
 from khab.constants import compute_constants
 from khab.conversion import PiecewisePolynomial, SmoothnessError, exact_direct_convert
 from khab.counterexample import (
+    PREMISE_GRID,
     T0,
     CounterexampleSpec,
     analyze_R,
@@ -19,16 +20,15 @@ from khab.counterexample import (
     build_q,
     build_r,
     check_premise,
-    default_premise_grid,
     delta_I,
     lhs_integral,
     log_moment,
     verify,
 )
 from khab.kernel import KernelSpec, kernel_eval_quadrature
-from khab.poly import Polynomial, positive_roots
+from khab.poly import Polynomial
 from khab.quad import QuadratureError, QuadResult, integrate, integrate_halfline
-from khab.transition import Params, sign_partition, transition_for
+from khab.transition import Params
 
 SQRT37 = math.sqrt(37.0)
 
@@ -39,7 +39,7 @@ LHS_1 = 18.86255035661829
 C22 = 19.65507202058854
 SIX_PI = 6.0 * math.pi
 
-_CACHES = (ce._q_basis, ce._premise_basis, ce._per_tol)
+_CACHES = (ce._basis, ce._per_tol)
 
 EPS_GRIDS = pytest.mark.parametrize(
     "eps_grid",
@@ -89,18 +89,14 @@ class TestSpec:
 
 class TestDeformationPolynomial:
     def test_endpoint_values(self):
-        h = build_h(T0)
+        h = build_h()
         assert h(T0) == pytest.approx(0.0, abs=1e-14)
         assert h(0.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_monotone_decreasing_on_segment(self):
-        h = build_h(T0)
+        h = build_h()
         samples = [h(T0 * i / 200.0) for i in range(201)]
         assert all(a >= b - 1e-12 for a, b in zip(samples, samples[1:]))
-
-    def test_rejects_nonpositive_t0(self):
-        with pytest.raises(ValueError):
-            build_h(0.0)
 
 
 class TestProfile:
@@ -137,7 +133,7 @@ class TestTestFunction:
             assert piece.coeffs == (0.0, 12.0)
 
     def test_r_endpoint_values(self):
-        r = build_r(T0)
+        r = build_r()
         assert r(0.0) == pytest.approx(1.0, rel=1e-12)
         assert r(T0) == pytest.approx(0.0, abs=1e-12)
 
@@ -149,7 +145,7 @@ class TestTestFunction:
 
     def test_matches_closed_form_coefficients(self):
         q = build_q(CounterexampleSpec(1.0))
-        r = build_r(T0)
+        r = build_r()
         twelve_t = Polynomial((0.0, 12.0))
         closed = twelve_t - twelve_t * r
         scale = max(abs(c) for c in closed.coeffs)
@@ -201,9 +197,12 @@ class TestPremise:
         assert g(t) / t == pytest.approx(t, rel=1e-15)
 
     def test_eps_zero_premise_tight(self):
-        rep = check_premise(CounterexampleSpec(0.0), grid=[0.9, 1.0, 2.0, 10.0])
+        # G = t^2 at eps = 0, on the grid and at t0
+        rep = check_premise(CounterexampleSpec(0.0))
         assert rep.ok
         assert abs(rep.worst_margin) <= 1e-6
+        q = build_q(CounterexampleSpec(0.0))
+        assert exact_direct_convert(q, 2, T0) == pytest.approx(T0 * T0, rel=1e-12)
 
     @EPS_GRIDS
     def test_holds_for_every_eps(self, eps_grid):
@@ -222,46 +221,46 @@ class TestPremise:
     def test_one_pass_margin_matches_pointwise(self, eps):
         # the grid pass, G = G_0 + eps * G_Delta, gives the least margin of
         # one closed-form conversion of q per point up to rounding, on the
-        # default grid and at q's breakpoints; at eps = 0, bit for bit
+        # premise grid; at eps = 0, bit for bit.  At q's breakpoint t0,
+        # which the grid brackets, the premise holds pointwise too
         spec = CounterexampleSpec(eps)
         q = build_q(spec)
-        grid = [*default_premise_grid(), *q.breakpoints]
-        pointwise = [exact_direct_convert(q, 2, t) for t in grid]
-        rep = check_premise(spec, grid)
-        want = min((t * t - v) / t for t, v in zip(grid, pointwise))
+        pointwise = [exact_direct_convert(q, 2, t) for t in PREMISE_GRID]
+        rep = check_premise(spec)
+        want = min((t * t - v) / t for t, v in zip(PREMISE_GRID, pointwise))
         assert rep.ok
         assert abs(rep.worst_margin - want) <= 1e-13
         if eps == 0.0:
             assert rep.worst_margin == want
+        at_t0 = exact_direct_convert(q, 2, T0)
+        assert -1e-12 <= at_t0 <= T0 * T0 + 1e-12
 
     @EPS_GRIDS
     def test_basis_matches_per_q_conversion(self, eps_grid):
         # over the sweep, G from the basis is the closed form on q itself
-        # within rounding, point by point, and the verdict is the same
-        grid = (*default_premise_grid(), T0)
+        # within rounding, point by point on the premise grid and at t0,
+        # and the verdict is the same
+        basis = ce._basis()
+        q0_t0, delta_t0 = (exact_direct_convert(q, 2, T0) for q in basis[:2])
         for eps in eps_grid:
             spec = CounterexampleSpec(eps)
             q = build_q(spec)
-            per_q = [exact_direct_convert(q, 2, t) for t in grid]
-            base, delta = ce._premise_basis(grid)[:2]
-            got = [a + eps * d for a, d in zip(base, delta)]
-            for t, want, g in zip(grid, per_q, got):
+            per_q = [exact_direct_convert(q, 2, t) for t in PREMISE_GRID]
+            got = [a + eps * d for a, d in zip(basis.g0, basis.g_delta)]
+            for t, want, g in zip(PREMISE_GRID, per_q, got):
                 assert abs(g - want) <= 1e-13 * max(1.0, t * t), (eps, t)
+            at_t0 = exact_direct_convert(q, 2, T0)
+            assert abs(q0_t0 + eps * delta_t0 - at_t0) <= 1e-13, eps
             holds = all(
                 -1e-12 * max(1.0, t * t) <= v <= t * t + 1e-12 * max(1.0, t * t)
-                for t, v in zip(grid, per_q)
+                for t, v in zip(PREMISE_GRID, per_q)
             )
-            assert check_premise(spec, grid).ok == holds, eps
+            assert check_premise(spec).ok == holds, eps
 
-    def test_default_grid_is_a_fresh_list(self):
-        grid = default_premise_grid()
-        assert len(grid) == 202 and grid == sorted(grid)
-        grid.clear()
-        assert len(default_premise_grid()) == 202
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError, match="nonempty grid"):
-            check_premise(CounterexampleSpec(1.0), grid=[])
+    def test_premise_grid(self):
+        assert len(PREMISE_GRID) == 202 and list(PREMISE_GRID) == sorted(PREMISE_GRID)
+        assert PREMISE_GRID[0] == 1e-3 and PREMISE_GRID[-1] == 1e3
+        assert T0 - 1e-6 in PREMISE_GRID and T0 + 1e-6 in PREMISE_GRID
 
     def test_numeric_route_catches_bad_conversion(self, monkeypatch, cold):
         # a q whose direct conversion overshoots t^2 beyond t0 breaks the
@@ -428,7 +427,7 @@ class TestVerify:
         verify(CounterexampleSpec(0.37))
         assert repr(verify(CounterexampleSpec(eps)).to_dict()) == cold_report
 
-    def test_caches_are_the_three_listed(self):
+    def test_caches_are_the_two_listed(self):
         # the cold fixture empties every eps-independent cache there is
         cached = {
             name for name, obj in vars(ce).items() if hasattr(obj, "cache_clear")
@@ -544,9 +543,9 @@ def test_gluing_error_fires_on_coefficient_bug(monkeypatch, cold):
     # a cubic-order zero at the seam breaks the third gluing condition
     import khab.counterexample as ce
 
-    def broken_h(t0):
+    def broken_h():
         return Polynomial(
-            tuple(math.comb(3, k) * (-t0) ** (3 - k) / t0**3 for k in range(4))
+            tuple(math.comb(3, k) * (-T0) ** (3 - k) / T0**3 for k in range(4))
         )
 
     monkeypatch.setattr(ce, "build_h", broken_h)
@@ -567,8 +566,6 @@ def test_gluing_error_fires_on_coefficient_bug(monkeypatch, cold):
         lambda tol: delta_I(CounterexampleSpec(0.5), tol),
         lambda tol: lhs_integral(CounterexampleSpec(0.5), tol),
         lambda tol: verify(CounterexampleSpec(0.5), tol),
-        lambda tol: sign_partition(transition_for(Params(2, 2.0)), tol),
-        lambda tol: positive_roots(Polynomial((-2.0, 0.0, 1.0)), tol),
         lambda tol: kernel_eval_quadrature(KernelSpec(2), 0.5, tol),
     ],
     ids=[
@@ -578,8 +575,6 @@ def test_gluing_error_fires_on_coefficient_bug(monkeypatch, cold):
         "delta_I",
         "lhs_integral",
         "verify",
-        "sign_partition",
-        "positive_roots",
         "kernel_eval_quadrature",
     ],
 )

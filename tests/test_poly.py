@@ -68,38 +68,35 @@ def test_derivative_matches_central_difference(p, x):
 
 class TestPositiveRoots:
     def test_quartic_root(self):
-        roots = positive_roots(Polynomial((-3.0, 0.0, 0.0, 0.0, 5.0)), 1e-12)
+        roots = positive_roots(Polynomial((-3.0, 0.0, 0.0, 0.0, 5.0)))
         assert len(roots) == 1
         assert roots[0] == pytest.approx((3 / 5) ** 0.25, abs=1e-12)
 
     def test_linear_root(self):
-        assert positive_roots(Polynomial((-3.0, 5.0)), 1e-12) == pytest.approx([0.6])
+        assert positive_roots(Polynomial((-3.0, 5.0))) == pytest.approx([0.6])
 
     def test_constant_has_no_roots(self):
-        assert positive_roots(Polynomial((1.0,)), 1e-12) == []
+        assert positive_roots(Polynomial((1.0,))) == []
 
     def test_root_at_zero_is_excluded(self):
-        assert positive_roots(Polynomial((0.0, 2.0)), 1e-12) == []
-        assert positive_roots(Polynomial((0.0, 0.0, 3.0)), 1e-12) == []
+        assert positive_roots(Polynomial((0.0, 2.0))) == []
+        assert positive_roots(Polynomial((0.0, 0.0, 3.0))) == []
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
-            positive_roots(Polynomial(), 1e-9)
-
-    def test_nonpositive_tol_rejected(self):
-        with pytest.raises(ValueError):
-            positive_roots(Polynomial((1.0, 1.0)), 0.0)
+            positive_roots(Polynomial())
 
     def test_residual_bound(self):
+        # every root is located to 1e-13 * min(1, z)
         p = Polynomial((-3.0, 0.0, 0.0, 0.0, 5.0))
-        tol = 1e-10
-        for r in positive_roots(p, tol):
+        tol = 1e-13
+        for r in positive_roots(p):
             assert abs(p(r)) <= tol * (abs(p.derivative()(r)) + 1.0)
 
     def test_grid_point_root_reported_once(self):
         # z = 1 sits exactly on the scan grid
         p = Polynomial((-1.0, 1.0)) * Polynomial((-3.0, 1.0))
-        assert positive_roots(p, 1e-10) == pytest.approx([1.0, 3.0])
+        assert positive_roots(p) == pytest.approx([1.0, 3.0])
 
     @pytest.mark.parametrize("order, alpha, count", [(2, 1.0, 1), (6, 3.0, 5)])
     def test_grid_point_root_needs_no_exact_fallback(self, order, alpha, count):
@@ -107,46 +104,53 @@ class TestPositiveRoots:
         # the isolation on (0, 1) meets the one on (1, inf); that root must
         # be reported once
         p = build_transition(order, alpha).p_poly
-        roots = positive_roots(p, 1e-13)
+        roots = positive_roots(p)
         assert roots.count(1.0) == 1
         assert len(roots) == count
         for r in roots:
             assert abs(p(r)) <= 1e-9 * (abs(p.derivative()(r)) + 1.0)
 
-    def test_multiple_root_fails_certification(self):
-        # float-rounded (z - 1.37)^2 has two exact roots ~1e-8 apart;
-        # a merge tolerance above the separation cannot be certified
-        p = Polynomial((1.37**2, -2 * 1.37, 1.0))
-        with pytest.raises(RootCertificationError):
-            positive_roots(p, 1e-6)
+    def test_root_cluster_fails_certification(self):
+        # (z - 3)(z - 3 - 2^-45), exact in floats: two roots 2.8e-14 apart,
+        # where roots are located to 1e-13; 1/3 lies far from the coarse
+        # dyadic points at which bisection splits x = 1/z, so no interval
+        # wider than that separates them
+        b = 3.0 + 2.0**-45
+        p = Polynomial((3.0 * b, -(3.0 + b), 1.0))
+        with pytest.raises(RootCertificationError, match="root cluster"):
+            positive_roots(p)
 
     def test_exact_double_root_fails_certification(self):
         with pytest.raises(RootCertificationError):
-            positive_roots(Polynomial((1.0, -2.0, 1.0)), 1e-9)
+            positive_roots(Polynomial((1.0, -2.0, 1.0)))
 
     @pytest.mark.parametrize("coeffs", [(-1e300, 1e-300), (-1e-300, 1e300)])
     def test_root_beyond_float_range_fails_certification(self, coeffs):
         # roots at z = 1e600 and z = 1e-600 are certified but not floats
         with pytest.raises(RootCertificationError):
-            positive_roots(Polynomial(coeffs), 1e-12)
+            positive_roots(Polynomial(coeffs))
 
     def test_close_pair_resolved_at_tight_tol(self):
+        # float-rounded (z - 1.37)^2 has two exact roots ~1e-8 apart, far
+        # more than 1e-13 * z
         p = Polynomial((1.37**2, -2 * 1.37, 1.0))
-        roots = positive_roots(p, 1e-10)
+        roots = positive_roots(p)
         assert len(roots) == 2
         assert all(abs(r - 1.37) < 1e-7 for r in roots)
 
     def test_bisection_stops_below_root_ulp(self):
-        # near z = 161 one ulp exceeds tol / 4, so a loop that waits for the
-        # bracket to shrink below that never ends; run in a child process so
-        # that a hang fails this test instead of stalling the suite
+        # near z = 1e6 one ulp of x = 1/z exceeds the bracket width
+        # 1e-13/4 * x^2 that an error of 1e-13 in z asks for, so a loop that
+        # waits for the bracket to shrink below that never ends; run in a
+        # child process so that a hang fails this test instead of stalling
+        # the suite
         import khab
 
         child = "\n".join([
             "from khab.poly import Polynomial, positive_roots",
             "from khab.transition import build_transition",
-            "roots = positive_roots(build_transition(7, 20.0).p_poly, 1e-13)",
-            "(root,) = positive_roots(Polynomial((-161.0, 1.0)), 1e-15)",
+            "roots = positive_roots(build_transition(7, 20.0).p_poly)",
+            "(root,) = positive_roots(Polynomial((-1e6, 1.0)))",
             "print(len(roots), roots[-1], root)",
         ])
         src = os.path.dirname(os.path.dirname(os.path.abspath(khab.__file__)))
@@ -163,13 +167,13 @@ class TestPositiveRoots:
         count, last, root = done.stdout.split()
         assert int(count) == 7
         assert float(last) == pytest.approx(160.8211, rel=1e-6)
-        assert abs(float(root) - 161.0) <= 1e-13
+        assert abs(float(root) - 1e6) <= 4 * math.ulp(1e6)
 
     def test_tiny_root_to_relative_accuracy(self):
         # P_19(10, z) has its smallest root near z = 7.25e-12, far below
-        # tol = 1e-13 in absolute terms
+        # the root accuracy 1e-13 in absolute terms
         p = build_transition(19, 10.0).p_poly
-        roots = positive_roots(p, 1e-13)
+        roots = positive_roots(p)
         ref = positive_roots_mp(p.coeffs)
         assert len(roots) == len(ref)
         assert ref[0] == pytest.approx(7.25e-12, rel=1e-3)
@@ -196,7 +200,7 @@ def test_planted_roots_recovered(data):
     p = Polynomial((1.0,))
     for r in roots:
         p = p * Polynomial((-r, 1.0))
-    got = positive_roots(p, 1e-8)
+    got = positive_roots(p)
     assert len(got) == len(roots)
     for g, r in zip(got, roots):
         assert abs(g - r) < 1e-7
@@ -218,7 +222,7 @@ def test_planted_roots_anywhere_on_halfline(data):
     p = Polynomial((1.0,))
     for r in planted:
         p = p * Polynomial((-r, 1.0))
-    got = positive_roots(p, 1e-12)
+    got = positive_roots(p)
     ref = positive_roots_mp(p.coeffs)
     assert len(got) == len(ref)
     for g, r in zip(got, ref):
@@ -234,7 +238,7 @@ def test_planted_roots_seeded_battery():
         p = Polynomial((rng.choice([-2.0, 1.0, 3.0]),))
         for r in roots:
             p = p * Polynomial((-r, 1.0))
-        got = positive_roots(p, 1e-9)
+        got = positive_roots(p)
         assert got == pytest.approx(roots, abs=1e-8)
 
 
