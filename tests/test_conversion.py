@@ -62,6 +62,27 @@ class TestPiecewisePolynomial:
                 PiecewisePolynomial((1.0,), (T_SQ, Polynomial((bad,)))), 2, 2.0
             )
 
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_gluing_is_checked_to_1e9_relative(self, order):
+        # right = left + jump * (t - 1)^order / order!, so at b = 1 only the
+        # order-th derivative jumps; 1e-8 of it breaks C^3, 1e-10 is rounding
+        left = Polynomial((1.0, 1.0, 1.0, 1.0))
+        value = left
+        for _ in range(order):
+            value = value.derivative()
+        bump = Polynomial((1.0 / math.factorial(order),))
+        for _ in range(order):
+            bump = bump * Polynomial((-1.0, 1.0))
+        for rel, ok in ((1e-10, True), (1e-8, False)):
+            right = left + bump * (rel * value(1.0))
+            pw = PiecewisePolynomial((1.0,), (left, right))
+            if ok:
+                pw.check_smoothness(3)
+                continue
+            with pytest.raises(SmoothnessError) as excinfo:
+                pw.check_smoothness(3)
+            assert (excinfo.value.breakpoint, excinfo.value.order) == (1.0, order)
+
     def test_json_round_trip(self):
         pw = PiecewisePolynomial((T0,), (Polynomial((1.0, -2.5)), T_SQ))
         data = json.loads(json.dumps(pw.to_dict()))

@@ -169,6 +169,19 @@ class TestPositiveRoots:
         assert float(last) == pytest.approx(160.8211, rel=1e-6)
         assert abs(float(root) - 1e6) <= 4 * math.ulp(1e6)
 
+    @pytest.mark.parametrize(
+        "order, alpha", [(1, 2.0), (6, 3.0), (7, 20.0), (19, 10.0)]
+    )
+    def test_every_root_to_fixed_accuracy(self, order, alpha):
+        # each root is within 1e-13 * min(1, z) of the exact root of the same
+        # float coefficients, plus the ulp of rounding that root to a float
+        p = build_transition(order, alpha).p_poly
+        roots = positive_roots(p)
+        ref = positive_roots_mp(p.coeffs)
+        assert len(roots) == len(ref) > 0
+        for r, x in zip(roots, ref):
+            assert abs(r - x) <= 1e-13 * min(1.0, x) + math.ulp(x), (r, x)
+
     def test_tiny_root_to_relative_accuracy(self):
         # P_19(10, z) has its smallest root near z = 7.25e-12, far below
         # the root accuracy 1e-13 in absolute terms
