@@ -5,7 +5,9 @@ the empty tuple.  Polynomial arithmetic is double precision.  Root
 isolation reads the float coefficients exactly as integers and decides
 every sign in integer arithmetic, so the roots it certifies are those of
 the stored coefficients, on the whole half-line; only the reported root
-values are floats.
+values are floats.  Float arithmetic only proposes the points where a
+root's bracket is split (a Newton estimate, then chords snapped to a
+grid), so a root is refined in a handful of exact evaluations.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 # Every root z is located to within _ROOT_TOL * min(1, z): relative below
-# z = 1, absolute above.  Bisecting on to one ulp would cost more exact sign
+# z = 1, absolute above.  Refining on to one ulp would cost more exact
 # evaluations for no digit that C(n, alpha) keeps, since a root error
 # enters it only quadratically.
 _ROOT_TOL = 1e-13
@@ -130,36 +132,135 @@ def _taylor_shift1(a: list[int]) -> list[int]:
     return a
 
 
-def _sign_at(a: list[int], x: float) -> int:
-    """Exact sign of a(x) for a float x >= 0: x = num / 2**s, so
-    2**(s*deg) * a(x) is an integer."""
+def _value_at(a: list[int], x: float) -> tuple[int, int]:
+    """Exact value of a(x) for a float x >= 0, as (v, e) with a(x) = v / 2**e:
+    x = num / 2**s, so v = 2**(s*deg) * a(x) is an integer."""
     num, den = x.as_integer_ratio()
     s = den.bit_length() - 1
     acc, shift = 0, 0
     for c in reversed(a):
         acc = acc * num + (c << shift)
         shift += s
-    return (acc > 0) - (acc < 0)
+    return acc, shift - s
 
 
-def _refine(a: list[int], lo: float, hi: float, sign_lo: int, reciprocal: bool) -> float:
-    """Bisect the bracket (lo, hi) of one simple root of ``a`` in x until
-    the root z (x, or 1/x if ``reciprocal``) is known to within
-    _ROOT_TOL/4 * min(1, z), or to one ulp.  ``sign_lo`` is the sign of
-    ``a`` just above lo, which may itself be a root."""
-    while True:
-        # z below 1: relative width of (lo, hi); z above 1: 1/lo - 1/hi
-        bound = 0.25 * _ROOT_TOL * lo * (hi if reciprocal else 1.0)
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= bound or not lo < mid < hi:
-            break
-        side = _sign_at(a, mid) * sign_lo
-        if side == 0:  # mid is the root
-            lo = hi = mid
-        elif side < 0:
-            hi = mid
+def _chord(v_lo: tuple[int, int], v_hi: tuple[int, int]) -> float:
+    """Where in (0, 1) the chord through two exact values of opposite signs,
+    at 0 and 1, crosses zero."""
+    (p, e), (q, f) = v_lo, v_hi
+    if e < f:
+        p <<= f - e
+    else:
+        q <<= e - f
+    return p / (p - q)
+
+
+def _newton(f: list[float], sign_0: int, y: float, tiny: float) -> tuple[float, float]:
+    """A float estimate of the one root in (0, 1) of the polynomial whose
+    coefficients, highest first, are ``f``, and a radius that should hold
+    the root: Newton's method from y, with a bisection step wherever Newton
+    would leave the bracket that the float signs of f narrow.  ``sign_0``
+    is the sign of f just above 0; the iteration stops once a step is below
+    ``tiny``.  The radius is infinite when the iteration does not settle."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):  # bisection alone halves the bracket 60 times
+        p = dp = size = 0.0
+        for c in f:
+            dp = dp * y + p
+            p = p * y + c
+            size = size * y + abs(c)
+        # Horner's error bound (Higham, Accuracy and Stability of Numerical
+        # Algorithms, 5.1) with the rounding of f: |p - f(y)| <= noise
+        noise = 2.3e-16 * len(f) * size
+        if abs(p) <= noise:
+            return y, 2.0 * noise / abs(dp) if dp else math.inf
+        if (p > 0) == (sign_0 > 0):
+            lo = y
         else:
-            lo = mid
+            hi = y
+        step = p / dp if dp else math.inf
+        if abs(step) <= tiny:
+            return y - step, 0.0
+        y -= step
+        if not lo < y < hi:
+            y = 0.5 * (lo + hi)
+    return y, math.inf
+
+
+def _refine(a: list[int], q: list[int], lo: float, hi: float, reciprocal: bool) -> float:
+    """Narrow the bracket (lo, hi) of one simple root of ``a`` in x until
+    the root z (x, or 1/x if ``reciprocal``) is known to within
+    _ROOT_TOL/8 * min(1, z), or to one ulp.  ``q`` is the isolating node's
+    polynomial, a(lo + y*(hi - lo)) times a factor positive for y in
+    (0, 1); lo may itself be a root of ``a``.
+
+    Each point probed lies strictly inside the bracket and is proposed by an
+    estimate, but only the exact sign of ``a`` there moves an end, so the
+    bracket always holds the root and shrinks at every probe.  First a float
+    Newton estimate r, taken on q scaled by one power of two (near the root
+    q is far less ill-conditioned than ``a``), is tested by the signs at
+    r -+ h, h the larger of half the stop width and the radius float
+    rounding leaves r.  Then quadratic interval refinement (Abbott 2006)
+    takes over on exact values: the chord through the ends of the bracket
+    is snapped to a grid of N cells, the cell it points to is tested by one
+    or two signs, and N squares when that cell holds the root and falls to
+    its square root when not.
+    """
+    sign_lo = 1 if next(c for c in q if c) > 0 else -1
+    v_lo = v_hi = None  # exact values of a at lo and hi, once known
+
+    def probe(x: float) -> int:
+        nonlocal lo, hi, v_lo, v_hi
+        v = _value_at(a, x)
+        side = ((v[0] > 0) - (v[0] < 0)) * sign_lo
+        if side > 0:
+            lo, v_lo = x, v
+        elif side < 0:
+            hi, v_hi = x, v
+        else:  # x is the root
+            lo = hi = x
+        return side
+
+    w = hi - lo
+    top = max(abs(c) for c in q).bit_length() - 1
+    q_hi = sum(q)
+    y, rho = _newton([c / (1 << top) for c in reversed(q)], sign_lo,
+                     q[0] / (q[0] - q_hi) if q_hi else 0.5,
+                     0.1 * _ROOT_TOL * lo * (lo if reciprocal else 1.0) / w)
+    r = lo + y * w
+    h = max(0.1 * _ROOT_TOL * r * (r if reciprocal else 1.0), rho * w, math.ulp(r))
+    if lo < r - h:
+        probe(r - h)
+    if lo < r + h < hi:
+        probe(r + h)
+
+    cells = 4
+    while True:
+        w = hi - lo
+        # z below 1: relative width of (lo, hi); z above 1: 1/lo - 1/hi
+        fine = max(0.25 * _ROOT_TOL * lo * (hi if reciprocal else 1.0),
+                   2.0 * math.ulp(lo + 0.5 * w))
+        if w <= fine:
+            break
+        if v_lo is None:
+            v_lo = _value_at(a, lo)
+        if v_hi is None:
+            v_hi = _value_at(a, hi)
+        if not (v_lo[0] and v_hi[0]):  # an end is another root: no chord
+            probe(lo + 0.5 * w)
+            continue
+        # cells no finer than the stop width, nor than two ulps
+        n = min(cells, 1 << math.frexp(w / fine)[1])
+        step = w / n
+        i = round(_chord(v_lo, v_hi) * n)
+        if 0 < i < n:
+            x = lo + i * step
+            nb = x - step if probe(x) < 0 else x + step
+        else:
+            nb = lo + step if i == 0 else hi - step
+        if lo < nb < hi:
+            probe(nb)
+        cells = n * n if hi - lo <= 1.5 * step else max(2, math.isqrt(n))
     z = 0.5 * (lo + hi)
     if reciprocal:
         z = 1.0 / z if z else math.inf
@@ -189,9 +290,7 @@ def _unit_roots(a: list[int], reciprocal: bool) -> list[float]:
             continue
         lo, hi = c / (1 << k), (c + 1) / (1 << k)
         if v == 1:
-            # q(x) is a(lo + x*(hi - lo)) times a positive factor
-            sign_lo = 1 if next(coef for coef in q if coef) > 0 else -1
-            roots.append(_refine(a, lo, hi, sign_lo, reciprocal))
+            roots.append(_refine(a, q, lo, hi, reciprocal))
             continue
         # z-width below _ROOT_TOL * min(1, z): 2**k/(c*(c+1)) <= _ROOT_TOL
         # in z = 1/x, 1/2**k <= _ROOT_TOL * c/2**k in z = x
@@ -229,10 +328,11 @@ def positive_roots(p: Polynomial) -> list[float]:
     isolated by Descartes' rule of signs with bisection on (0, 1) and, for
     the reversed coefficients, on (1, inf); z = 1 is tested exactly.  There
     is no search window: every positive root of the exact coefficients is
-    found.  Each isolated root is refined by bisection on float midpoints,
-    each step decided by the exact sign of ``p``, so every root reported is
-    simple and ``p`` changes sign there.  A multiple root, or a cluster of
-    roots that bisection has not separated once its intervals are
+    found.  Each isolated root is refined at float points proposed by a
+    float Newton estimate and then by quadratic interval refinement, each
+    point decided by the exact sign of ``p`` there, so every root reported
+    is simple and ``p`` changes sign there.  A multiple root, or a cluster
+    of roots that bisection has not separated once its intervals are
     1e-13 * min(1, z) wide, raises :class:`RootCertificationError`.
     """
     if p.is_zero():

@@ -15,9 +15,11 @@ adds a factor 2*alpha*s and yields the transition function of order n,
 For f of degree r, sum_s f(s) x^s = N(x)/(1-x)^(r+1) with N_j =
 sum_i (-1)^i C(r+1, i) f(j-i) (Stanley, Enumerative Combinatorics I, 4.3),
 so z P_n(z) = (-1)^(n+1) N(-z) / n! for f(s) = s prod_{k<=n} (2*alpha*s - k).
-With alpha = a/d exactly (d a power of two) each coefficient is one integer
-quotient, correctly rounded.  P_n has degree exactly n: its leading
-coefficient is prod_k (1 + 2*alpha/k) >= 1.
+N is the series of f times (1-x)^(r+1), cut after r+1 terms, so it is taken
+as r+1 passes of first differences.  With alpha = a/d exactly (d a power of
+two) each f(s) is an integer, a product taken by halves, and each
+coefficient is one integer quotient, correctly rounded.  P_n has degree
+exactly n: its leading coefficient is prod_k (1 + 2*alpha/k) >= 1.
 """
 
 from __future__ import annotations
@@ -89,11 +91,26 @@ def _log_weight(t: float, two_alpha: float) -> float:
     return -two_alpha * math.log(t) + math.log1p(t**two_alpha)
 
 
+def _product(factors: list[int]) -> int:
+    """The product of ``factors`` by halves, so that long products multiply
+    integers of like size, which Python's Karatsuba multiplication does
+    far faster than a running product's long-by-short steps.  Below 16
+    factors the running product is as fast."""
+    if len(factors) < 16:
+        return math.prod(factors)
+    half = len(factors) // 2
+    return _product(factors[:half]) * _product(factors[half:])
+
+
 def _series_numerator(values: list[int], power: int) -> list[int]:
     """N_j = sum_i (-1)^i C(power, i) values[j-i]: the numerator N(x) of
-    sum_s f(s) x^s = N(x) / (1-x)^power, given values[s] = f(s)."""
-    return [sum((-1) ** i * math.comb(power, i) * values[j - i] for i in range(j + 1))
-            for j in range(len(values))]
+    sum_s f(s) x^s = N(x) / (1-x)^power, given values[s] = f(s), taken as
+    ``power`` passes of first differences."""
+    n = list(values)
+    for _ in range(power):
+        for j in range(len(n) - 1, 0, -1):
+            n[j] -= n[j - 1]
+    return n
 
 
 def phi_derivative_poly(m: int, alpha: float) -> Polynomial:
@@ -103,7 +120,7 @@ def phi_derivative_poly(m: int, alpha: float) -> Polynomial:
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError("alpha must be a positive real")
     a, d = float(alpha).as_integer_ratio()
-    g = [math.prod(2 * a * s - k * d for k in range(1, m)) for s in range(m)]
+    g = [_product([2 * a * s - k * d for k in range(1, m)]) for s in range(m)]
     return Polynomial(tuple((-1) ** (j + 1) * 2 * a * c / d**m
                             for j, c in enumerate(_series_numerator(g, m))))
 
@@ -116,7 +133,7 @@ def build_transition(order: int, alpha: float) -> TransitionFunction:
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError("alpha must be a positive real")
     a, d = float(alpha).as_integer_ratio()
-    f = [s * math.prod(2 * a * s - k * d for k in range(1, order + 1))
+    f = [s * _product([2 * a * s - k * d for k in range(1, order + 1)])
          for s in range(order + 2)]
     c = _series_numerator(f, order + 2)[1:]
     scale = math.factorial(order) * d**order
@@ -162,11 +179,12 @@ def sign_partition(tf: TransitionFunction) -> SignPartition:
 
     Boundaries are the certified positive z-roots of the numerator
     polynomial, each located by :func:`positive_roots` to within
-    1e-13 * min(1, z), mapped to t.  A multiple root, or a cluster that
-    bisection has not separated at that width, raises
-    RootCertificationError.  Every certified root is simple, so the sign
-    starts as that of P's lowest nonzero coefficient (P near z = 0+) and
-    flips at each boundary.
+    1e-13 * min(1, z), mapped to t: isolated by Descartes' rule of signs
+    with bisection, then refined at points that float estimates propose
+    and exact signs decide.  A multiple root, or a cluster that bisection
+    has not separated at that width, raises RootCertificationError.  Every
+    certified root is simple, so the sign starts as that of P's lowest
+    nonzero coefficient (P near z = 0+) and flips at each boundary.
     """
     if tf.p_poly.is_zero():
         raise ValueError("transition numerator is identically zero")

@@ -169,6 +169,25 @@ def transition_numerator_exact(order, alpha):
     )
 
 
+def series_numerator_running(alpha, factors, count, power, weighted):
+    """The integer numerator N of sum_s v(s) x^s = N(x)/(1-x)^power, by
+    running products and binomial sums.
+
+    With alpha = a/d exactly, v(s) = prod_{k=1..factors} (2as - kd), times s
+    if ``weighted``, for s = 0..count-1, and N_j = sum_i (-1)^i C(power, i)
+    v(j-i).  ``build_transition(order, alpha)`` divides the numerator with
+    (factors, count, power) = (order, order+2, order+2), weighted, and
+    ``phi_derivative_poly(m, alpha)`` the one with (m-1, m, m), unweighted.
+    """
+    import math
+
+    a, d = float(alpha).as_integer_ratio()
+    v = [(s if weighted else 1) * math.prod(2 * a * s - k * d for k in range(1, factors + 1))
+         for s in range(count)]
+    return [sum((-1) ** i * math.comb(power, i) * v[j - i] for i in range(j + 1))
+            for j in range(count)]
+
+
 def constants_exact_mp(n, alpha, dps=40):
     """(C, m_minus) of Phi_{n-1}(alpha, .) from the exact numerator, as mpf.
 

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _oracles import positive_roots_mp
+from khab import poly
 from khab.poly import Polynomial, RootCertificationError, positive_roots
 from khab.transition import build_transition
 
@@ -170,7 +171,8 @@ class TestPositiveRoots:
         assert abs(float(root) - 1e6) <= 4 * math.ulp(1e6)
 
     @pytest.mark.parametrize(
-        "order, alpha", [(1, 2.0), (6, 3.0), (7, 20.0), (19, 10.0)]
+        "order, alpha",
+        [(1, 2.0), (6, 3.0), (7, 20.0), (19, 10.0), (24, 3.0), (49, 3.0)],
     )
     def test_every_root_to_fixed_accuracy(self, order, alpha):
         # each root is within 1e-13 * min(1, z) of the exact root of the same
@@ -181,6 +183,55 @@ class TestPositiveRoots:
         assert len(roots) == len(ref) > 0
         for r, x in zip(roots, ref):
             assert abs(r - x) <= 1e-13 * min(1.0, x) + math.ulp(x), (r, x)
+
+    @pytest.mark.parametrize("coeffs, want", [
+        # (z - 0.5)(z - 0.625): isolation on (0, 1) splits at the root 0.5,
+        # so the bracket (0.5, 1) of 0.625 starts at a root
+        ((0.3125, -1.125, 1.0), [0.5, 0.625]),
+        # (z - 2)(z - 2.5): isolation in x = 1/z splits at the root 0.5, so
+        # the bracket (0, 0.5) of x = 0.4 ends at a root
+        ((5.0, -4.5, 1.0), [2.0, 2.5]),
+    ])
+    def test_root_on_bracket_end(self, coeffs, want):
+        roots = positive_roots(Polynomial(coeffs))
+        assert len(roots) == len(want)
+        for r, x in zip(roots, want):
+            assert abs(r - x) <= 1e-13 * min(1.0, x), (r, x)
+
+    @pytest.mark.parametrize("coeffs", [
+        # (z - 0.5)(z - 0.625)(z - 0.75): the bracket (0.5, 0.75) of 0.625
+        # has a root at either end, so no chord runs through its ends
+        (-0.234375, 1.15625, -1.875, 1.0),
+        (-1e6, 1.0),
+        build_transition(7, 20.0).p_poly.coeffs,
+        build_transition(19, 10.0).p_poly.coeffs,
+    ])
+    def test_exact_refinement_alone(self, coeffs, monkeypatch):
+        # with no float estimate, quadratic interval refinement on exact
+        # values still places every root to the fixed accuracy
+        monkeypatch.setattr(poly, "_newton", lambda f, sign_0, y, tiny: (y, math.inf))
+        roots = positive_roots(Polynomial(coeffs))
+        ref = positive_roots_mp(coeffs)
+        assert len(roots) == len(ref) > 0
+        for r, x in zip(roots, ref):
+            assert abs(r - x) <= 1e-13 * min(1.0, x) + math.ulp(x), (r, x)
+
+    def test_few_exact_evaluations_per_root(self, monkeypatch):
+        # refinement proposes points from estimates and spends an exact
+        # evaluation only to decide a sign; bisection to the fixed accuracy
+        # spent about 48 per root
+        value_at = poly._value_at
+        calls = []
+
+        def counted(a, x):
+            calls.append(x)
+            return value_at(a, x)
+
+        monkeypatch.setattr(poly, "_value_at", counted)
+        roots = sum(len(positive_roots(build_transition(n - 1, alpha).p_poly))
+                    for n in range(1, 9) for alpha in (0.1, 0.5, 1.25, 3.0))
+        assert roots > 0
+        assert len(calls) <= 8 * roots, len(calls) / roots
 
     def test_tiny_root_to_relative_accuracy(self):
         # P_19(10, z) has its smallest root near z = 7.25e-12, far below

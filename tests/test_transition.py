@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from khab import transition
 from khab.poly import RootCertificationError
 from khab.transition import (
     MAX_ORDER,
@@ -23,6 +24,7 @@ from _oracles import (
     log_grid,
     phi_derivative_exact,
     phi_derivative_fd,
+    series_numerator_running,
     transition_fd,
     transition_numerator_exact,
 )
@@ -145,6 +147,34 @@ class TestBuild:
             build_transition(-1, 1.0)
         with pytest.raises(ValueError):
             build_transition(1, 0.0)
+
+
+class TestExactNumerator:
+    # Q_m overflows a float past m = 151 at alpha = 1, so Q is taken at 150
+    @pytest.mark.parametrize("order, m, alpha",
+                             [(40, 40, 1e-300), (170, 150, 1.0), (170, 150, 0.01)])
+    def test_same_integers_as_running_products(self, order, m, alpha, monkeypatch):
+        # the product tree and the difference passes only reorder exact
+        # integer arithmetic, so P and Q must come out bit for bit
+        seen = []
+        numerator = transition._series_numerator
+
+        def recorded(values, power):
+            seen.append(numerator(values, power))
+            return seen[-1]
+
+        monkeypatch.setattr(transition, "_series_numerator", recorded)
+        p = build_transition(order, alpha).p_poly
+        q = phi_derivative_poly(m, alpha)
+        want_p = series_numerator_running(alpha, order, order + 2, order + 2, True)
+        want_q = series_numerator_running(alpha, m - 1, m, m, False)
+        assert seen == [want_p, want_q]
+        a, d = alpha.as_integer_ratio()
+        scale = math.factorial(order) * d**order
+        assert p.coeffs == tuple((-1) ** (order + j) * c / scale
+                                 for j, c in enumerate(want_p[1:]))
+        assert q.coeffs == tuple((-1) ** (j + 1) * 2 * a * c / d**m
+                                 for j, c in enumerate(want_q))
 
 
 class TestEval:
