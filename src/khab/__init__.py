@@ -19,13 +19,12 @@ from .counterexample import (
     build_g,
     build_h,
     build_q,
-    build_r,
     check_premise,
     delta_I,
     lhs_integral,
     verify,
 )
-from .kernel import KernelSpec, kernel_eval, kernel_eval_quadrature
+from .kernel import KernelSpec, kernel_eval
 from .poly import Polynomial, RootCertificationError, positive_roots
 from .quad import QuadratureError, QuadResult, integrate, integrate_halfline
 from .transition import (
@@ -59,7 +58,6 @@ __all__ = [
     "build_g",
     "build_h",
     "build_q",
-    "build_r",
     "build_transition",
     "check_premise",
     "closed_form_total",
@@ -71,7 +69,6 @@ __all__ = [
     "integrate_halfline",
     "inverse_convert",
     "kernel_eval",
-    "kernel_eval_quadrature",
     "lhs_integral",
     "phi_derivative_poly",
     "positive_roots",

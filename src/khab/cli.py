@@ -15,10 +15,9 @@ standard error.  ``--alpha``, ``--tol``, ``--t`` and
 ``--y`` must be finite and > 0, and ``plotdata --from/--to`` finite.  Numeric text
 output prints 10 significant digits; JSON floats round-trip bit-exactly, and JSON
 output never holds NaN or infinity.
-The default tolerance is 1e-9, overridable by the KHAB_TOL environment
-variable and per-run by ``--tol``; ``transition``, ``constants``,
-``convert`` and ``plotdata`` compute in closed form, with roots located to
-a fixed accuracy, and ignore it.
+The quadrature tolerance is ``--tol``, 1e-9 by default; ``transition``,
+``constants``, ``convert`` and ``plotdata`` compute in closed form, with
+roots located to a fixed accuracy, and ignore it.
 """
 
 from __future__ import annotations
@@ -40,7 +39,8 @@ from .counterexample import (
     build_q,
     verify,
 )
-from .quad import QuadratureError
+from .kernel import KernelSpec, kernel_eval
+from .quad import QuadratureError, integrate_halfline
 from .transition import (
     MAX_ORDER,
     Params,
@@ -68,20 +68,12 @@ def _finite_positive(x: float) -> bool:
     return math.isfinite(x) and x > 0
 
 
-def _default_tol() -> float:
-    try:
-        tol = float(os.environ.get("KHAB_TOL", "1e-9"))
-    except ValueError:
-        return 1e-9
-    return tol if _finite_positive(tol) else 1e-9
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--tol",
         type=float,
-        default=None,
-        help="absolute quadrature tolerance (default 1e-9, env KHAB_TOL); "
+        default=1e-9,
+        help="absolute quadrature tolerance (default 1e-9); "
         "no effect on transition, constants, convert and plotdata",
     )
     p.add_argument(
@@ -169,8 +161,6 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     eps = getattr(args, "epsilon", 0.0)
     if not 0.0 <= eps <= 1.0:
         parser.error("--epsilon must lie in [0, 1]")
-    if args.tol is None:
-        args.tol = _default_tol()
     if not _finite_positive(args.tol):
         parser.error("--tol must be finite and > 0")
     if args.command == "convert" and args.direct and not args.t:
@@ -277,9 +267,6 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_identity(args) -> int:
-    from .kernel import KernelSpec, kernel_eval
-    from .quad import integrate_halfline
-
     tf = build_transition(args.n - 1, args.alpha)
     spec = KernelSpec(args.n - 1)
     two_alpha = 2.0 * args.alpha

@@ -59,8 +59,7 @@ from .transition import Params, _log_weight, transition_eval, transition_for
 T0 = 0.6**0.25  # positive root of 5 t^4 - 3
 _EPS = math.ulp(1.0)
 
-_R3 = Polynomial((-2.0, 16.0, -34.0, 21.0))
-_R = _R3.shift_up(1)  # R(tau) = R3(tau) * tau
+_R3 = Polynomial((-2.0, 16.0, -34.0, 21.0))  # R(tau) = R3(tau) * tau
 
 
 @dataclass(frozen=True)
@@ -81,11 +80,6 @@ def build_h() -> Polynomial:
     return Polynomial(
         tuple(math.comb(4, k) * (-T0) ** (4 - k) / T0**4 for k in range(5))
     )
-
-
-def build_r() -> Polynomial:
-    """r(t) = R((t0 - t)/t0) as a polynomial in t."""
-    return _R.compose(Polynomial((1.0, -1.0 / T0)))
 
 
 def build_g(spec: CounterexampleSpec) -> PiecewisePolynomial:

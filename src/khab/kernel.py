@@ -5,8 +5,7 @@ The closed form used in production comes from the binomial expansion of
 
     A_n(x) = -ln x + sum_{k=1}^{n} C(n,k) (-1)^k (1 - x^k) / k
 
-and is O(n) per call.  An adaptive-quadrature evaluation of the defining
-integral is kept alongside as a cross-check oracle.
+and is O(n) per call.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-from .quad import QuadResult, _check_tol, integrate
 
 
 @dataclass(frozen=True)
@@ -45,16 +42,3 @@ def kernel_eval(spec: KernelSpec, x: float) -> float:
     for k, gamma in enumerate(spec.gammas, 1):
         acc += gamma * (1.0 - x**k)
     return acc
-
-
-def kernel_eval_quadrature(spec: KernelSpec, x: float, tol: float) -> QuadResult:
-    """A_n(x) by adaptive quadrature of the defining integrand."""
-    if x <= 0.0:
-        raise ValueError("kernel_eval_quadrature requires x > 0")
-    if x > 1.0:
-        raise ValueError("kernel_eval_quadrature requires x <= 1")
-    _check_tol(tol)
-    if x == 1.0:
-        return QuadResult(0.0, 0.0, 1)
-    n = spec.n
-    return integrate(lambda y: (1.0 - y) ** n / y, x, 1.0, tol)

@@ -94,13 +94,6 @@ class Polynomial:
             return self
         return Polynomial((0.0,) * k + self.coeffs)
 
-    def compose(self, inner: "Polynomial") -> "Polynomial":
-        """Return self(inner(x)) by Horner composition."""
-        acc = Polynomial()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Polynomial((c,))
-        return acc
-
 
 # --- positive-root isolation -------------------------------------------------
 #

@@ -114,15 +114,18 @@ def _series_numerator(values: list[int], power: int) -> list[int]:
 
 
 def phi_derivative_poly(m: int, alpha: float) -> Polynomial:
-    """Q_m such that d^m phi/dt^m = t^(-m) Q_m(z) / (1+z)^m."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("m must be a positive integer")
+    """Q_m such that d^m phi/dt^m = t^(-m) Q_m(z) / (1+z)^m; 1 <= m <= MAX_ORDER + 1."""
+    if not isinstance(m, int) or not 1 <= m <= MAX_ORDER + 1:
+        raise ValueError(f"m must be an integer in [1, {MAX_ORDER + 1}], got {m!r}")
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError("alpha must be a positive real")
     a, d = float(alpha).as_integer_ratio()
     g = [_product([2 * a * s - k * d for k in range(1, m)]) for s in range(m)]
-    return Polynomial(tuple((-1) ** (j + 1) * 2 * a * c / d**m
-                            for j, c in enumerate(_series_numerator(g, m))))
+    try:
+        return Polynomial(tuple((-1) ** (j + 1) * 2 * a * c / d**m
+                                for j, c in enumerate(_series_numerator(g, m))))
+    except OverflowError:
+        raise ValueError(f"Q_{m}(alpha={alpha!r}) overflows a float") from None
 
 
 def build_transition(order: int, alpha: float) -> TransitionFunction:

@@ -4,7 +4,8 @@ The derivative oracles evaluate Richardson-extrapolated central finite
 differences of the log weight phi(t) = ln(1 + t^(-2*alpha)) in
 high-precision arithmetic, and the exact numerators run a polynomial
 recurrence in sympy, so neither shares a code path with the package's
-closed form.
+closed form.  Likewise the kernel weight is an mpmath quadrature of its
+defining integral, and the counterexample's r(t) a sympy expansion.
 """
 
 import mpmath as mp
@@ -250,3 +251,25 @@ def log_moment_mp(coeffs, b, dps=30):
             log_part = mp.quad(lambda s: s**k * mp.log(s), [0, 1])
             total += mp.mpf(repr(c)) * bb ** (k + 1) * (mp.log(bb) * power + log_part)
         return total
+
+
+def kernel_integral_mp(n, x, dps=30):
+    """A_n(x), the integral of (1 - y)^n / y over [x, 1], by mpmath's
+    tanh-sinh quadrature at ``dps`` digits, as a float."""
+    with mp.workdps(dps):
+        return float(mp.quad(lambda y: (1 - y) ** n / y, [mp.mpf(repr(x)), 1]))
+
+
+def counterexample_r_coeffs(t0):
+    """Coefficients of r(t) = R((t0 - t)/t0), ascending in t, as floats,
+    with R(tau) = 21 tau^4 - 34 tau^3 + 16 tau^2 - 2 tau.
+
+    sympy expands r in exact rationals at the exact value of the float
+    ``t0``; each coefficient is rounded once.
+    """
+    import sympy as sp
+
+    t = sp.Symbol("t")
+    tau = (sp.Rational(t0) - t) / sp.Rational(t0)
+    r = sp.Poly(21 * tau**4 - 34 * tau**3 + 16 * tau**2 - 2 * tau, t)
+    return [float(c) for c in r.all_coeffs()[::-1]]

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import khab
-from khab.cli import _default_tol, _emit_json, main
+from khab.cli import _emit_json, main
 from khab.counterexample import CounterexampleSpec, verify
 
 T0 = 0.6**0.25
@@ -50,9 +50,8 @@ class TestTransitionCommand:
         assert data["p_coeffs"] == [-3.0, 5.0]
         assert data["values"][0]["phi"] == pytest.approx(4.0)
 
-    def test_tol_has_no_effect(self, capsys, monkeypatch):
+    def test_tol_has_no_effect(self, capsys):
         # the sign boundaries are located to a fixed 1e-13 relative accuracy
-        monkeypatch.delenv("KHAB_TOL", raising=False)
         argv = ["transition", "--n", "7", "--alpha", "3", "--format", "json"]
         outputs = {run(capsys, argv + extra) for extra in
                    ([], ["--tol", "1e-3"], ["--tol", "1e-15"])}
@@ -167,7 +166,7 @@ class TestCounterexampleCommand:
         )
         assert code == 0
         parsed = json.loads(out)
-        report = verify(CounterexampleSpec(1.0), _default_tol())
+        report = verify(CounterexampleSpec(1.0), 1e-9)
         assert parsed["lhs"]["value"] == report.lhs_integral.value
         assert parsed["delta_I"]["value"] == report.delta_I.value
         assert parsed["c_upper"] == report.c_upper
@@ -408,28 +407,13 @@ class TestPlotdataCommand:
 
 
 class TestTolerancePlumbing:
-    def test_default_tol(self, monkeypatch):
-        monkeypatch.delenv("KHAB_TOL", raising=False)
-        assert _default_tol() == 1e-9
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("KHAB_TOL", "1e-6")
-        assert _default_tol() == 1e-6
-
-    def test_env_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv("KHAB_TOL", "not-a-number")
-        assert _default_tol() == 1e-9
-        for value in ("-3", "inf", "nan"):
-            monkeypatch.setenv("KHAB_TOL", value)
-            assert _default_tol() == 1e-9
-
-    def test_env_tol_used_by_command(self, capsys, monkeypatch):
-        # a tolerance below rounding cannot be met: the value reached the
-        # quadrature of the bridge identity
+    def test_environment_sets_no_tol(self, capsys, monkeypatch):
+        # --tol is the one source of the tolerance: a KHAB_TOL below
+        # rounding, which no quadrature can meet, is not read
         monkeypatch.setenv("KHAB_TOL", "1e-16")
         code, _, err = run(capsys, ["identity", "--n", "2", "--alpha", "2"])
-        assert code == 1
-        assert "quadrature failure" in err
+        assert code == 0
+        assert err == ""
 
     def test_bad_tol_flag_is_usage_error(self, capsys):
         for command, tol in (

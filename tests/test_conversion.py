@@ -6,6 +6,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import counterexample_r_coeffs
 from khab.conversion import (
     PiecewisePolynomial,
     SmoothnessError,
@@ -126,8 +127,7 @@ class TestInverseConvert:
         spec = CounterexampleSpec(1.0)
         q = inverse_convert(build_g(spec), 2)
         # closed form: 12 t (1 - r(t)) with r = R((t0 - t)/t0) on the left
-        R = Polynomial((0.0, -2.0, 16.0, -34.0, 21.0))
-        r = R.compose(Polynomial((1.0, -1.0 / T0)))
+        r = Polynomial(counterexample_r_coeffs(T0))
         closed = Polynomial((0.0, 12.0)) - Polynomial((0.0, 12.0)) * r
         scale = max(abs(c) for c in closed.coeffs)
         for got, want in zip(q.pieces[0].coeffs, closed.coeffs):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import log_moment_mp
+from _oracles import counterexample_r_coeffs, log_moment_mp
 import khab.counterexample as ce
 from khab.constants import compute_constants
 from khab.conversion import PiecewisePolynomial, SmoothnessError, exact_direct_convert
@@ -18,14 +18,12 @@ from khab.counterexample import (
     build_g,
     build_h,
     build_q,
-    build_r,
     check_premise,
     delta_I,
     lhs_integral,
     log_moment,
     verify,
 )
-from khab.kernel import KernelSpec, kernel_eval_quadrature
 from khab.poly import Polynomial
 from khab.quad import QuadratureError, QuadResult, integrate, integrate_halfline
 from khab.transition import Params
@@ -133,7 +131,7 @@ class TestTestFunction:
             assert piece.coeffs == (0.0, 12.0)
 
     def test_r_endpoint_values(self):
-        r = build_r()
+        r = Polynomial(counterexample_r_coeffs(T0))
         assert r(0.0) == pytest.approx(1.0, rel=1e-12)
         assert r(T0) == pytest.approx(0.0, abs=1e-12)
 
@@ -145,7 +143,7 @@ class TestTestFunction:
 
     def test_matches_closed_form_coefficients(self):
         q = build_q(CounterexampleSpec(1.0))
-        r = build_r()
+        r = Polynomial(counterexample_r_coeffs(T0))
         twelve_t = Polynomial((0.0, 12.0))
         closed = twelve_t - twelve_t * r
         scale = max(abs(c) for c in closed.coeffs)
@@ -566,7 +564,6 @@ def test_gluing_error_fires_on_coefficient_bug(monkeypatch, cold):
         lambda tol: delta_I(CounterexampleSpec(0.5), tol),
         lambda tol: lhs_integral(CounterexampleSpec(0.5), tol),
         lambda tol: verify(CounterexampleSpec(0.5), tol),
-        lambda tol: kernel_eval_quadrature(KernelSpec(2), 0.5, tol),
     ],
     ids=[
         "integrate",
@@ -575,7 +572,6 @@ def test_gluing_error_fires_on_coefficient_bug(monkeypatch, cold):
         "delta_I",
         "lhs_integral",
         "verify",
-        "kernel_eval_quadrature",
     ],
 )
 def test_non_finite_tol_rejected_at_once(call, tol):

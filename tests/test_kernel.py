@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from khab.kernel import KernelSpec, kernel_eval, kernel_eval_quadrature
+from _oracles import kernel_integral_mp
+from khab.kernel import KernelSpec, kernel_eval
 
 
 class TestClosedForm:
@@ -36,18 +37,11 @@ class TestClosedForm:
 
 class TestQuadratureOracle:
     def test_oracle_self_check(self):
-        res = kernel_eval_quadrature(KernelSpec(1), 0.5, 1e-12)
-        assert res.value == pytest.approx(math.log(2) - 0.5, abs=1e-12)
-
-    def test_empty_interval_trivial(self):
-        res = kernel_eval_quadrature(KernelSpec(2), 1.0, 1e-6)
-        assert res.value == 0.0
-        assert res.abs_error_estimate == 0.0
+        assert kernel_integral_mp(1, 0.5) == pytest.approx(math.log(2) - 0.5, abs=1e-12)
 
     def test_order_three(self):
         closed = kernel_eval(KernelSpec(3), 0.25)
-        res = kernel_eval_quadrature(KernelSpec(3), 0.25, 1e-10)
-        assert abs(res.value - closed) <= 1e-10
+        assert abs(kernel_integral_mp(3, 0.25) - closed) <= 1e-10
 
     def test_agreement_on_grid(self):
         # re-derivation check for the binomial expansion, all orders used
@@ -56,8 +50,7 @@ class TestQuadratureOracle:
             for i in range(1, 100):
                 x = i / 100.0
                 closed = kernel_eval(spec, x)
-                quad = kernel_eval_quadrature(spec, x, 1e-12)
-                assert abs(closed - quad.value) <= 1e-10, (n, x)
+                assert abs(closed - kernel_integral_mp(n, x)) <= 1e-10, (n, x)
 
 
 class TestShapeInvariants:

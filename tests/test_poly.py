@@ -306,14 +306,6 @@ def test_planted_roots_seeded_battery():
         assert got == pytest.approx(roots, abs=1e-8)
 
 
-def test_compose():
-    inner = Polynomial((1.0, -2.0))
-    outer = Polynomial((0.0, 0.0, 1.0))
-    composed = outer.compose(inner)
-    for x in (-1.0, 0.0, 0.3, 2.0):
-        assert composed(x) == pytest.approx((1 - 2 * x) ** 2, rel=1e-14)
-
-
 def test_arithmetic_identities():
     p = Polynomial((1.0, 2.0, 3.0))
     q = Polynomial((-1.0, 0.5))

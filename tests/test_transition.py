@@ -86,6 +86,16 @@ class TestDerivativeRecurrence:
             want = rounded_exact(phi_derivative_exact(m, exact_alpha(alpha)))
             assert phi_derivative_poly(m, alpha).coeffs == want, m
 
+    def test_order_limit_and_overflow_raise(self):
+        # Q_m overflows a float past m = 151 at alpha = 1 and past 152 at
+        # alpha = 0.01; m stops where build_transition's order does
+        assert phi_derivative_poly(151, 1.0).degree == 150
+        for m, alpha in ((152, 1.0), (153, 0.01)):
+            with pytest.raises(ValueError, match=rf"Q_{m}\(alpha={alpha!r}\) overflows"):
+                phi_derivative_poly(m, alpha)
+        with pytest.raises(ValueError, match=r"m must be an integer in \[1, 171\]"):
+            phi_derivative_poly(MAX_ORDER + 2, 1.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             phi_derivative_poly(0, 1.0)
