@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import khab
-from khab.cli import _emit_json, main
+from khab.cli import _build_parser, _emit_json, main
 from khab.counterexample import CounterexampleSpec, verify
 
 T0 = 0.6**0.25
@@ -407,13 +407,44 @@ class TestPlotdataCommand:
 
 
 class TestTolerancePlumbing:
-    def test_environment_sets_no_tol(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transition"],
+            ["constants"],
+            ["counterexample"],
+            ["report"],
+            ["identity"],
+            ["convert", "--inverse", "--input", "g.json"],
+            ["plotdata", "--kind", "q"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_default_tol(self, argv):
+        # every subcommand takes --tol, 1e-9 unless the flag is given
+        parser = _build_parser()
+        assert parser.parse_args(argv).tol == 1e-9
+        assert parser.parse_args(argv + ["--tol", "1e-6"]).tol == 1e-6
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["identity", "--n", "2", "--alpha", "2"],
+            ["counterexample"],
+            ["report"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_environment_sets_no_tol(self, capsys, monkeypatch, argv):
         # --tol is the one source of the tolerance: a KHAB_TOL below
         # rounding, which no quadrature can meet, is not read
+        monkeypatch.delenv("KHAB_TOL", raising=False)
+        want = run(capsys, argv)
         monkeypatch.setenv("KHAB_TOL", "1e-16")
-        code, _, err = run(capsys, ["identity", "--n", "2", "--alpha", "2"])
+        code, out, err = run(capsys, argv)
         assert code == 0
         assert err == ""
+        assert (code, out, err) == want
 
     def test_bad_tol_flag_is_usage_error(self, capsys):
         for command, tol in (

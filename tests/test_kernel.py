@@ -52,6 +52,14 @@ class TestQuadratureOracle:
                 closed = kernel_eval(spec, x)
                 assert abs(closed - kernel_integral_mp(n, x)) <= 1e-10, (n, x)
 
+    def test_agreement_near_zero(self):
+        # below the grid, where the -ln x term dominates
+        for n in range(7):
+            spec = KernelSpec(n)
+            for x in (1e-12, 1e-8, 1e-4, 1e-3):
+                closed = kernel_eval(spec, x)
+                assert abs(closed - kernel_integral_mp(n, x)) <= 1e-10, (n, x)
+
 
 class TestShapeInvariants:
     def test_positivity(self):
