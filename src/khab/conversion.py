@@ -5,7 +5,9 @@ The direct conversion integrates q against the kernel weight,
     g(t) = integral_0^t A_{n-1}(y/t) q(y) dy,
 
 and accepts any evaluable q; the integrand has at worst a logarithmic
-singularity at y = 0 (A ~ -ln(y/t)), which the quadrature absorbs.  The
+singularity at y = 0 (A ~ -ln(y/t)).  The quadrature integrates the first
+piece of (0, t) in y = u^2, which tames that singularity, and every piece
+of a piecewise-polynomial q against that piece's own polynomial.  The
 inverse conversion
 
     q(t) = d^n/dt^n [ t^n g'(t) / (n-1)! ]
@@ -156,14 +158,30 @@ def direct_convert(
 
     Only ``params.n`` enters; ``params.alpha`` is ignored.  The integral is
     split at q's breakpoints, with ``tol`` shared equally, since a panel
-    over a kink can converge falsely.
+    over a kink can converge falsely.  The first piece, (0, b), is
+    integrated in y = u^2, as the integral of 2u A_{n-1}(u^2/t) q(u^2) over
+    (0, sqrt(b)): an integrand like y^k ln y at 0, from the kernel's log,
+    becomes u^(2k+1) ln u, which needs far fewer panels graded into the
+    endpoint.  A :class:`PiecewisePolynomial` q is evaluated on each piece
+    through that piece's own polynomial, with no breakpoint search.
     """
-    if not t > 0:
-        raise ValueError("direct_convert requires t > 0")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("direct_convert requires finite t > 0")
     spec = KernelSpec(params.n - 1)
     pieces = _pieces(q, t)
-    f = lambda y: kernel_eval(spec, y / t) * q(y)  # noqa: E731
-    return math.fsum(integrate(f, a, b, tol / len(pieces)).value for a, b in pieces)
+    share = tol / len(pieces)
+    parts = []
+    for i, (a, b) in enumerate(pieces):
+        qi = q.pieces[i] if isinstance(q, PiecewisePolynomial) else q
+        if i == 0:  # y = u^2
+            f = lambda u, qi=qi: (  # noqa: E731
+                2.0 * u * kernel_eval(spec, u * u / t) * qi(u * u)
+            )
+            b = math.sqrt(b)
+        else:
+            f = lambda y, qi=qi: kernel_eval(spec, y / t) * qi(y)  # noqa: E731
+        parts.append(integrate(f, a, b, share).value)
+    return math.fsum(parts)
 
 
 def inverse_convert(g: PiecewisePolynomial, n: int) -> PiecewisePolynomial:

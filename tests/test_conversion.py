@@ -109,9 +109,58 @@ class TestDirectConvert:
         got = direct_convert(q, spec.params, t, 1e-11)
         assert got == pytest.approx(expected, abs=1e-9)
 
-    def test_rejects_nonpositive_t(self):
-        with pytest.raises(ValueError):
-            direct_convert(lambda y: y, Params(2, 2.0), 0.0, 1e-9)
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_nonpositive_t(self, t):
+        with pytest.raises(ValueError, match="direct_convert requires finite t > 0"):
+            direct_convert(lambda y: y, Params(2, 2.0), t, 1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("beta", [0.0, -0.5, -0.9])
+    @pytest.mark.parametrize("t", [0.3, 1.0, 4.0])
+    def test_singular_q_closed_form(self, n, beta, t):
+        # q = y^beta: with A_0(x) = -ln x and A_1(x) = -ln x - (1 - x),
+        # g(t) = t^(beta+1) / (beta+1)^2 at n = 1 and
+        # t^(beta+1) (1/(beta+1)^2 - 1/(beta+1) + 1/(beta+2)) at n = 2
+        a = beta + 1.0
+        g = t**a / a**2
+        if n == 2:
+            g = t**a * (1.0 / a**2 - 1.0 / a + 1.0 / (beta + 2.0))
+        tol = 1e-10 * max(1.0, t**a)
+        got = direct_convert(lambda y: y**beta, Params(n, 1.0), t, tol)
+        assert abs(got - g) <= 1e-10 * abs(g)
+
+    @pytest.mark.parametrize("t", [0.3, 1.0, 4.0])
+    def test_evaluation_count(self, t):
+        # integrated in y = u^2, the first piece needs 75-105 evaluations
+        # here; in y itself, panels grading into the log singularity at 0
+        # take 285-345
+        q = global_poly(Polynomial((0.0, 1.0, -0.3, 0.05)))
+        calls = 0
+
+        def counted(y):
+            nonlocal calls
+            calls += 1
+            return q(y)
+
+        got = direct_convert(counted, Params(1, 1.0), t, 1e-9 * max(1.0, t**4))
+        assert calls <= 150
+        g = exact_direct_convert(q, 1, t)
+        assert abs(got - g) <= 1e-10 * max(1.0, abs(g))
+
+    @pytest.mark.parametrize("t", [0.5 * T0, 1.5, 3.0])
+    def test_piecewise_q_matches_its_call(self, t):
+        # each piece is integrated against its own polynomial, which is
+        # what q(y) picks for every point inside the piece
+        spec = CounterexampleSpec(1.0)
+        q = build_q(spec)
+
+        def plain(y):
+            return q(y)
+
+        plain.breakpoints = q.breakpoints
+        assert direct_convert(q, spec.params, t, 1e-10) == direct_convert(
+            plain, spec.params, t, 1e-10
+        )
 
 
 class TestInverseConvert:
