@@ -7,6 +7,13 @@ verification of the deformation family), ``identity`` (the bridge between
 premise and conclusion weights), ``convert`` (direct/inverse conversion of
 piecewise polynomials as JSON), and ``plotdata`` (CSV curves).
 
+``--format`` takes only the formats a subcommand prints, the first its
+default: ``text`` or ``json`` on ``transition``, ``constants``,
+``counterexample`` and ``convert``; ``json`` or ``text`` on ``report``;
+``text``, ``json`` or ``csv`` on ``identity``.  ``plotdata`` has no
+``--format`` and always prints CSV; ``convert --inverse`` always prints
+JSON and reads no ``--t``.
+
 Exit codes: 0 success, 1 verification failure or a stage that cannot
 compute (also ``--n`` > 171, or a C(n, alpha) whose rounding bound exceeds
 1e-3 of it), 2 usage error, 141 (128 + SIGPIPE) when the reader of
@@ -68,7 +75,8 @@ def _finite_positive(x: float) -> bool:
     return math.isfinite(x) and x > 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser,
+                formats: tuple[str, ...] = ("text", "json")) -> None:
     p.add_argument(
         "--tol",
         type=float,
@@ -76,12 +84,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="absolute quadrature tolerance (default 1e-9); "
         "no effect on transition, constants, convert and plotdata",
     )
-    p.add_argument(
-        "--format",
-        choices=("text", "json", "csv"),
-        default="text",
-        help="output format",
-    )
+    if formats:
+        p.add_argument("--format", choices=formats, default=formats[0],
+                       help="output format")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,8 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="machine-readable verification "
                        "report (counterexample with JSON default)")
     p.add_argument("--epsilon", type=float, default=1.0)
-    _add_common(p)
-    p.set_defaults(format="json")
+    _add_common(p, ("json", "text"))
 
     p = sub.add_parser("identity", help="bridge identity residuals: "
                        "transition integral against ln(1 + y^(-2a))")
@@ -124,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--y", type=float, action="append", default=None,
                    help="premise point (repeatable)")
-    _add_common(p)
+    _add_common(p, ("text", "json", "csv"))
 
     p = sub.add_parser("convert", help="direct/inverse conversion of a "
                        "piecewise polynomial (JSON {breakpoints, pieces})")
@@ -148,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="lo", type=float, default=None)
     p.add_argument("--to", dest="hi", type=float, default=None)
     p.add_argument("--points", type=int, default=101)
-    _add_common(p)
+    _add_common(p, ())
 
     return parser
 
@@ -230,11 +234,11 @@ def _cmd_constants(args) -> int:
     return 0
 
 
-def _render_counterexample(args, as_json: bool) -> int:
+def _cmd_counterexample(args) -> int:
     spec = CounterexampleSpec(args.epsilon)
     rep = verify(spec, args.tol)
     verified = not rep.failures and (spec.epsilon == 0.0 or rep.violated)
-    if as_json:
+    if args.format == "json":
         _emit_json(rep.to_dict())
     else:
         print(f"epsilon = {_fmt(spec.epsilon)}   (n = 2, alpha = 2)")
@@ -256,14 +260,6 @@ def _render_counterexample(args, as_json: bool) -> int:
         else:
             print("no violation detected")
     return 0 if verified else 1
-
-
-def _cmd_counterexample(args) -> int:
-    return _render_counterexample(args, as_json=args.format == "json")
-
-
-def _cmd_report(args) -> int:
-    return _render_counterexample(args, as_json=args.format != "text")
 
 
 def _cmd_identity(args) -> int:
@@ -349,7 +345,7 @@ _DISPATCH = {
     "transition": _cmd_transition,
     "constants": _cmd_constants,
     "counterexample": _cmd_counterexample,
-    "report": _cmd_report,
+    "report": _cmd_counterexample,
     "identity": _cmd_identity,
     "convert": _cmd_convert,
     "plotdata": _cmd_plotdata,

@@ -169,7 +169,9 @@ def transition_eval(tf: TransitionFunction, t: float) -> float:
     two_alpha = 2.0 * alpha
     if t <= 1.0:
         z = t**two_alpha
-        return scale * z * tf.p_poly(z) / (1.0 + z) ** tf.exponent
+        # 4 alpha^2 / t overflows below t ~ 4 alpha^2 / DBL_MAX: divide z first
+        sz = scale * z if scale != math.inf else 4.0 * alpha * alpha * (z / t)
+        return sz * tf.p_poly(z) / (1.0 + z) ** tf.exponent
     w = t**-two_alpha
     acc = 0.0
     for c in tf.p_poly.coeffs:  # Horner for the reversed polynomial

@@ -406,6 +406,41 @@ class TestPlotdataCommand:
         assert float(lines[0].split(",")[1]) == pytest.approx(1.0, rel=1e-15)
 
 
+class TestFormatChoices:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transition"],
+            ["constants"],
+            ["counterexample"],
+            ["report"],
+            ["convert", "--direct", "--input", "q.json", "--t", "1"],
+            ["plotdata", "--kind", "R3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_format_not_printed_is_usage_error(self, capsys, argv):
+        # csv is printed by identity only; a format a subcommand would
+        # silently ignore is refused
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--format", "csv"])
+        assert excinfo.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
+    def test_identity_csv(self, capsys):
+        code, out, _ = run(capsys, ["identity", "--n", "1", "--alpha", "1", "--y", "2",
+                                    "--format", "csv"])
+        assert code == 0
+        header, row = out.splitlines()
+        assert header == "y,integral,target,residual"
+        assert float(row.split(",")[2]) == pytest.approx(math.log(1.25), rel=1e-12)
+
+    def test_report_and_counterexample_share_one_handler(self, capsys):
+        # the two differ only in their default format
+        assert run(capsys, ["report", "--format", "text"]) == run(capsys, ["counterexample"])
+        assert run(capsys, ["counterexample", "--format", "json"]) == run(capsys, ["report"])
+
+
 class TestTolerancePlumbing:
     @pytest.mark.parametrize(
         "argv",

@@ -219,6 +219,12 @@ class TestEval:
         tf = build_transition(1, 2.0)
         assert math.isfinite(transition_eval(tf, 1e120))
         assert math.isfinite(transition_eval(tf, 1e-120))
+        # below t ~ 4 alpha^2 / DBL_MAX the factor 4 alpha^2 / t is inf
+        assert transition_eval(tf, 1e-320) == 0.0
+        alpha, t = 0.3, 1e-320
+        z = t ** (2 * alpha)
+        want = 4 * alpha**2 * t ** (2 * alpha - 1) / (1 + z) ** 2  # P_0 = 1
+        assert transition_eval(build_transition(0, alpha), t) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
