@@ -13,9 +13,7 @@ from .conversion import (
 from .counterexample import (
     T0,
     CounterexampleSpec,
-    ExtremaReport,
     VerificationReport,
-    analyze_R,
     build_g,
     build_h,
     build_q,
@@ -41,7 +39,6 @@ from .transition import (
 __all__ = [
     "ConstantsReport",
     "CounterexampleSpec",
-    "ExtremaReport",
     "KernelSpec",
     "Params",
     "PiecewisePolynomial",
@@ -54,7 +51,6 @@ __all__ = [
     "T0",
     "TransitionFunction",
     "VerificationReport",
-    "analyze_R",
     "build_g",
     "build_h",
     "build_q",

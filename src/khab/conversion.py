@@ -23,8 +23,7 @@ with c the piece of q on the interval, mu_j the moments of A_{n-1} over
 (0, 1), and A, B, D_k summing the elementary antiderivatives of the pieces
 at the breakpoints below the interval.  The table of these numbers is
 built once per (q, n) and cached, so a point costs one log and
-O(deg + n) flops; :func:`exact_direct_convert_grid` fetches it once for a
-whole grid.  The closed form shares no step with the inverse
+O(deg + n) flops.  The closed form shares no step with the inverse
 conversion, so it can check the q that one returns; quadrature is its
 oracle.
 """
@@ -35,7 +34,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable
 
 from .kernel import KernelSpec, kernel_eval
 from .poly import Polynomial
@@ -86,6 +85,12 @@ class PiecewisePolynomial:
                 raise ValueError(f"piece {i} must hold finite coefficients")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "pieces", pieces)
+        # q keys the cached table of :func:`exact_direct_convert`, looked up
+        # at every point, so its hash is taken once
+        object.__setattr__(self, "_hash", hash((bps, pieces)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def piece_index(self, t: float) -> int:
         return bisect_right(self.breakpoints, t)
@@ -243,11 +248,12 @@ def _direct_table(
     return tuple(rows)
 
 
-def _direct_at(table: tuple, breakpoints: tuple[float, ...], t: float) -> float:
-    """G(t) from the table of :func:`_direct_table`, at a finite t > 0."""
+def exact_direct_convert(q: PiecewisePolynomial, n: int, t: float) -> float:
+    """Closed-form direct conversion of a piecewise-polynomial q at a finite
+    t > 0, read from the cached table of (q, n)."""
     if not (math.isfinite(t) and t > 0):
         raise ValueError("exact_direct_convert requires finite t > 0")
-    e, a, b, d = table[bisect_right(breakpoints, t)]
+    e, a, b, d = _direct_table(q, n)[bisect_right(q.breakpoints, t)]
     poly = 0.0
     for c in reversed(e):
         poly = poly * t + c
@@ -256,18 +262,3 @@ def _direct_at(table: tuple, breakpoints: tuple[float, ...], t: float) -> float:
     for dk in reversed(d):
         tail = (tail + dk) * inv
     return poly * t + a + b * math.log(t) - tail
-
-
-def exact_direct_convert(q: PiecewisePolynomial, n: int, t: float) -> float:
-    """Closed-form direct conversion of a piecewise-polynomial q at a finite
-    t > 0, read from the cached table of (q, n)."""
-    return _direct_at(_direct_table(q, n), q.breakpoints, t)
-
-
-def exact_direct_convert_grid(
-    q: PiecewisePolynomial, n: int, ts: Iterable[float]
-) -> list[float]:
-    """:func:`exact_direct_convert` at each t of ``ts``, with one table
-    lookup for the whole grid."""
-    table = _direct_table(q, n)
-    return [_direct_at(table, q.breakpoints, t) for t in ts]

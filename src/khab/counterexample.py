@@ -25,10 +25,11 @@ The pair (n, alpha) = (2, 2) and t0 are fixed; eps is the only input.
 The family is affine in eps and both conversions are linear, so what does
 not depend on eps sits in two caches, filled once per process: the basis
 q_0, q_Delta with q_eps = q_0 + eps * q_Delta, with G_0 and G_Delta with
-G(q_eps) = G_0 + eps * G_Delta on :data:`PREMISE_GRID` (:func:`_basis`);
-and, per tol, the integrals that are the same for every eps
-(:func:`_per_tol`).  The C^3 gluing at t0 is checked for the whole family
-at once, by :func:`inverse_convert` on g_0 and g_1 in :func:`build_q`.
+G(q_eps) = G_0 + eps * G_Delta on :data:`PREMISE_GRID` and C(2, 2)
+(:func:`_basis`); and, per tol, the integrals that are the same for every
+eps (:func:`_per_tol`).  The C^3 gluing at t0 is checked for the whole
+family at once, by :func:`inverse_convert` on g_0 and g_1 in
+:func:`build_q`, and so is q >= 0, by exact signs of q_0 and q_1.
 :func:`verify` cross-checks the conclusion integral of
 :func:`lhs_integral`, a quadrature of q_eps for each eps, against the
 split route, the closed-form total d_0 * pi/2 of :func:`compute_constants`
@@ -47,12 +48,8 @@ from operator import le, sub, truediv
 from typing import ClassVar, NamedTuple
 
 from .constants import ConstantsReport, compute_constants
-from .conversion import (
-    PiecewisePolynomial,
-    exact_direct_convert_grid,
-    inverse_convert,
-)
-from .poly import Polynomial, positive_roots
+from .conversion import PiecewisePolynomial, exact_direct_convert, inverse_convert
+from .poly import _ROOT_TOL, Polynomial, positive_roots
 from .quad import QuadResult, _check_tol, integrate, integrate_halfline
 from .transition import Params, _log_weight, transition_eval, transition_for
 
@@ -101,42 +98,6 @@ def build_q(spec: CounterexampleSpec) -> PiecewisePolynomial:
     return inverse_convert(build_g(spec), spec.params.n)
 
 
-@dataclass(frozen=True)
-class ExtremaReport:
-    """Certified extrema of the cubic factor R3 on [0, 1]."""
-
-    tau_max: float
-    tau_min: float
-    r3_at_max: float
-    r3_at_min: float
-    r3_at_0: float
-    r3_at_1: float
-    max_r3_on_01: float
-    r_bounded_by_one: bool
-
-
-def analyze_R() -> ExtremaReport:
-    """Factor R = R3 * tau, locate R3's critical points on [0, 1] and
-    certify R(tau) <= 1 there."""
-    crits = [c for c in positive_roots(_R3.derivative()) if c < 1.0]
-    tau_max, tau_min = crits[0], crits[1]
-    candidates = [0.0, tau_max, tau_min, 1.0]
-    max_r3 = max(_R3(c) for c in candidates)
-    # a cubic peaks on [0, 1] at an end or a critical point, so max_r3 bounds
-    # R3 there; then R = R3*tau <= max(R3, 0) <= 1 for tau in [0, 1]
-    bounded = max_r3 <= 1.0
-    return ExtremaReport(
-        tau_max=tau_max,
-        tau_min=tau_min,
-        r3_at_max=_R3(tau_max),
-        r3_at_min=_R3(tau_min),
-        r3_at_0=_R3(0.0),
-        r3_at_1=_R3(1.0),
-        max_r3_on_01=max_r3,
-        r_bounded_by_one=bounded,
-    )
-
-
 # 200 log-spaced points over [1e-3, 1e3] plus the seam neighborhood
 PREMISE_GRID = tuple(
     sorted(
@@ -147,12 +108,14 @@ PREMISE_GRID = tuple(
 
 
 class _Basis(NamedTuple):
-    """What does not depend on eps: q_eps = q_0 + eps * q_delta, and per t
-    of :data:`PREMISE_GRID` G_0(t), G_Delta(t), t*t and the premise's lower
-    and upper bounds."""
+    """What depends on neither eps nor tol: q_eps = q_0 + eps * q_delta,
+    whether every q_eps is >= 0, C(2, 2), and per t of :data:`PREMISE_GRID`
+    G_0(t), G_Delta(t), t*t and the premise's lower and upper bounds."""
 
     q0: PiecewisePolynomial
     q_delta: PiecewisePolynomial
+    q_nonnegative: bool
+    constants: ConstantsReport
     g0: tuple[float, ...]
     g_delta: tuple[float, ...]
     squares: tuple[float, ...]
@@ -160,9 +123,30 @@ class _Basis(NamedTuple):
     highs: tuple[float, ...]
 
 
+def _nonnegative(head: Polynomial, tail: Polynomial) -> bool:
+    """Whether q, ``head`` on (0, t0) and ``tail`` on (t0, inf), is >= 0,
+    decided from exact signs.  :func:`positive_roots` reads the float
+    coefficients as integers and finds every positive root; a root within
+    its accuracy, 1e-13 * min(1, z), of t0 counts as inside the interval,
+    so the check fails closed.  With no root inside, a piece keeps one sign
+    there: the head's lowest nonzero coefficient gives it next to 0, the
+    tail's leading coefficient towards inf."""
+
+    def outside(p: Polynomial, side: int) -> bool:  # side: +1 above t0, -1 below
+        return all(side * (z - T0) > _ROOT_TOL * min(1.0, z) for z in positive_roots(p))
+
+    return (
+        next(c for c in head.coeffs if c) > 0
+        and outside(head, 1)
+        and tail.coeffs[-1] > 0
+        and outside(tail, -1)
+    )
+
+
 @lru_cache(maxsize=1)
 def _basis() -> _Basis:
-    """The eps-independent record of the family, once per process.
+    """The record of the family that depends on neither eps nor tol, once
+    per process.
 
     g_eps = t^2 (1 - eps h) is affine in eps and the inverse conversion is
     linear, so q_eps is too: q_0 = :func:`build_q` at eps = 0, which is
@@ -171,9 +155,12 @@ def _basis() -> _Basis:
     g_eps = (1 - eps) g_0 + eps g_1, every g_eps with eps in [0, 1] is then
     C^3 at t0 too.  q_Delta's last piece must be exactly zero: beyond t0
     every q_eps is q_0's 12 t, whose half-line integral :func:`_per_tol`
-    computes once for the whole family.  The direct conversion is linear
-    too, so G_0 and G_Delta are read from the closed-form tables of q_0
-    and q_Delta, one pass over the grid each.
+    computes once for the whole family.  Likewise q_eps = (1 - eps) q_0 +
+    eps q_1, so every q_eps is >= 0 if q_0 and q_1 are: both, formed piece
+    by piece as :func:`lhs_integral` forms q's head, are decided by
+    :func:`_nonnegative`.  The direct conversion is linear too, so G_0 and
+    G_Delta are the closed-form conversions of q_0 and q_Delta at each
+    grid point.  C(2, 2) does not depend on tol either.
     """
     q0 = build_q(CounterexampleSpec(0.0))
     q1 = build_q(CounterexampleSpec(1.0))
@@ -181,14 +168,21 @@ def _basis() -> _Basis:
     if not delta[-1].is_zero():
         raise RuntimeError(f"q_1 - q_0 beyond t0 is {delta[-1].coeffs!r}, not zero")
     q_delta = PiecewisePolynomial(q0.breakpoints, delta)
-    n = CounterexampleSpec.params.n
+    params = CounterexampleSpec.params
     squares = tuple(t * t for t in PREMISE_GRID)
     slacks = [1e-12 * max(1.0, sq) for sq in squares]
     return _Basis(
         q0,
         q_delta,
-        tuple(exact_direct_convert_grid(q0, n, PREMISE_GRID)),
-        tuple(exact_direct_convert_grid(q_delta, n, PREMISE_GRID)),
+        all(
+            _nonnegative(*(a + eps * d for a, d in zip(q0.pieces, delta)))
+            for eps in (0.0, 1.0)
+        ),
+        compute_constants(params),
+        *(
+            tuple(exact_direct_convert(q, params.n, t) for t in PREMISE_GRID)
+            for q in (q0, q_delta)
+        ),
         squares,
         tuple(-slack for slack in slacks),
         tuple(sq + slack for sq, slack in zip(squares, slacks)),
@@ -283,15 +277,13 @@ class _PerTol(NamedTuple):
 
     halfline: QuadResult
     delta_I_base: QuadResult
-    constants: ConstantsReport
 
 
 @lru_cache(maxsize=8)
 def _per_tol(tol: float) -> _PerTol:
     """Once per process and tol: the half-line part of the conclusion
-    integral, 12 t against the log weight over (t0, inf) at tol/2;
-    delta_I's base integral of Phi_1(2,t) t^2 h(t) over (0, t0); and
-    C(2, 2) with its consistency data."""
+    integral, 12 t against the log weight over (t0, inf) at tol/2, and
+    delta_I's base integral of Phi_1(2,t) t^2 h(t) over (0, t0)."""
     params = CounterexampleSpec.params
     two_alpha = 2.0 * params.alpha
     tail = _basis().q0.pieces[-1]
@@ -306,7 +298,6 @@ def _per_tol(tol: float) -> _PerTol:
             lambda t: tail(t) * _log_weight(t, two_alpha), T0, tol / 2
         ),
         delta_I_base=integrate(base_integrand, 0.0, T0, tol),
-        constants=compute_constants(params, tol),
     )
 
 
@@ -397,25 +388,28 @@ def verify(spec: CounterexampleSpec, tol: float = 1e-9) -> VerificationReport:
     :func:`lhs_integral` and :func:`delta_I`, once each.  What does not
     depend on eps is computed once per process in two caches: the basis
     q_0, q_Delta, whose two inverse conversions gate the C^3 gluing of
-    every g_eps, with G_0 and G_Delta on the premise grid (:func:`_basis`);
-    and, per tol, the half-line part of the conclusion integral, delta_I's
-    base integral and C(2, 2) (:func:`_per_tol`).  A sweep over eps pays for
-    them at its first eps.  Every later eps runs no inverse conversion, no
-    table build and no half-line quadrature: the premise is one pass over
-    the grid, and the conclusion integral forms q's head on (0, t0) and
-    integrates it against the smooth part of the weight, the side of the
-    cross-check that does not lean on linearity in eps.
+    every g_eps, with whether every q_eps is >= 0, C(2, 2), and G_0 and
+    G_Delta on the premise grid (:func:`_basis`); and, per tol, the
+    half-line part of the conclusion integral and delta_I's base integral
+    (:func:`_per_tol`).  A sweep over eps pays for them at its first eps.
+    Every later eps runs no inverse conversion, no table build and no
+    half-line quadrature: the premise is one pass over the grid, and the
+    conclusion integral forms q's head on (0, t0) and integrates it against
+    the smooth part of the weight, the side of the cross-check that does
+    not lean on linearity in eps.
 
     ``lhs_cross_difference`` is :func:`lhs_integral` minus the split route,
     the total d_0 * pi/2 of :func:`compute_constants` plus :func:`delta_I`.
     ``failures`` lists the verdicts that go against the counterexample:
-    premise violated, delta_I not positive, routes disagreeing, or the
-    bound C(n, alpha) exceeded.  A stage that cannot compute raises.
+    q negative, premise violated, delta_I not positive, routes
+    disagreeing, or the bound C(n, alpha) exceeded.  A stage that cannot
+    compute raises.
     """
     premise = check_premise(spec)
     lhs = lhs_integral(spec, tol)
     excess = delta_I(spec, tol)
-    consts = _per_tol(tol).constants
+    basis = _basis()
+    consts = basis.constants
     total = consts.total_integral
     cross = lhs.value - (total.value + excess.value)
     bound_ok = lhs.value <= consts.c_upper + (
@@ -423,6 +417,9 @@ def verify(spec: CounterexampleSpec, tol: float = 1e-9) -> VerificationReport:
     )
 
     failures: list[str] = []
+    # beyond t0 every q_eps is q_0's 12 t, so a q that dips does so on (0, t0)
+    if not basis.q_nonnegative:
+        failures.append("q is negative on (0, t0)")
     if not premise.ok:
         failures.append("premise inequality violated on the check grid")
     if spec.epsilon > 0 and not excess.value > 0:

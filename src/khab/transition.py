@@ -160,7 +160,10 @@ def transition_eval(tf: TransitionFunction, t: float) -> float:
 
     For t > 1 the reciprocal form in w = t^(-2*alpha) = 1/z is used so that
     neither branch ever overflows:  z*P(z)/(1+z)^(n+2) = w*Prev(w)/(1+w)^(n+2)
-    with Prev the coefficient-reversed polynomial.
+    with Prev the coefficient-reversed polynomial.  Where 4*alpha^2/t is
+    infinite (a huge alpha, or a tiny t), z or w is divided by t first, so
+    that a z or w that underflows gives 0.  A value that is still not
+    finite raises ValueError.
     """
     if not t > 0:
         raise ValueError("transition_eval requires t > 0")
@@ -168,15 +171,19 @@ def transition_eval(tf: TransitionFunction, t: float) -> float:
     scale = 4.0 * alpha * alpha / t
     two_alpha = 2.0 * alpha
     if t <= 1.0:
-        z = t**two_alpha
-        # 4 alpha^2 / t overflows below t ~ 4 alpha^2 / DBL_MAX: divide z first
-        sz = scale * z if scale != math.inf else 4.0 * alpha * alpha * (z / t)
-        return sz * tf.p_poly(z) / (1.0 + z) ** tf.exponent
-    w = t**-two_alpha
-    acc = 0.0
-    for c in tf.p_poly.coeffs:  # Horner for the reversed polynomial
-        acc = acc * w + c
-    return scale * w * acc / (1.0 + w) ** tf.exponent
+        x = t**two_alpha
+        poly = tf.p_poly(x)
+    else:
+        x = t**-two_alpha
+        poly = 0.0
+        for c in tf.p_poly.coeffs:  # Horner for the reversed polynomial
+            poly = poly * x + c
+    sx = scale * x if scale != math.inf else 4.0 * alpha * (alpha * (x / t))
+    value = sx * poly / (1.0 + x) ** tf.exponent
+    if not math.isfinite(value):
+        raise ValueError(f"Phi_{tf.order}(alpha={alpha!r}) at t = {t!r} "
+                         "is not a finite float")
+    return value
 
 
 def sign_partition(tf: TransitionFunction) -> SignPartition:

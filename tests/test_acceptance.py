@@ -15,13 +15,15 @@ from khab.cli import main
 from khab.constants import closed_form_total, compute_constants
 from khab.conversion import direct_convert
 from khab.counterexample import (
+    _R3,
     T0,
     CounterexampleSpec,
-    analyze_R,
+    _basis,
     build_g,
     build_q,
 )
 from khab.kernel import KernelSpec, kernel_eval
+from khab.poly import positive_roots
 from khab.quad import integrate_halfline
 from khab.transition import (
     Params,
@@ -148,13 +150,14 @@ def test_criterion_07_conversion_round_trip():
 
 def test_criterion_08_extrema():
     with criterion(8, "cubic-factor extrema match surds to 1e-10, R <= 1 certified"):
-        rep = analyze_R()
+        tau_max, tau_min = positive_roots(_R3.derivative())
         s37 = math.sqrt(37.0)
-        assert abs(rep.tau_max - (34.0 - 2.0 * s37) / 63.0) <= 1e-10
-        assert abs(rep.tau_min - (34.0 + 2.0 * s37) / 63.0) <= 1e-10
-        assert abs(rep.r3_at_max - (394.0 + 592.0 * s37) / 11907.0) <= 1e-10
-        assert abs(rep.r3_at_min - (394.0 - 592.0 * s37) / 11907.0) <= 1e-10
-        assert rep.r_bounded_by_one
+        assert abs(tau_max - (34.0 - 2.0 * s37) / 63.0) <= 1e-10
+        assert abs(tau_min - (34.0 + 2.0 * s37) / 63.0) <= 1e-10
+        assert abs(_R3(tau_max) - (394.0 + 592.0 * s37) / 11907.0) <= 1e-10
+        assert abs(_R3(tau_min) - (394.0 - 592.0 * s37) / 11907.0) <= 1e-10
+        # q = 12 t (1 - eps R) >= 0 for every eps in [0, 1] iff R <= 1
+        assert _basis().q_nonnegative
 
 
 def test_criterion_09_root_boundary():

@@ -13,7 +13,6 @@ from khab.conversion import (
     _direct_table,
     direct_convert,
     exact_direct_convert,
-    exact_direct_convert_grid,
     inverse_convert,
 )
 from khab.counterexample import (
@@ -296,15 +295,6 @@ class TestExactDirect:
     def test_rejects_nonfinite_t(self, t):
         with pytest.raises(ValueError, match="finite t > 0"):
             exact_direct_convert(global_poly(T_SQ), 2, t)
-        with pytest.raises(ValueError, match="finite t > 0"):
-            exact_direct_convert_grid(global_poly(T_SQ), 2, [1.0, t])
-
-    @pytest.mark.parametrize("eps", [0.0, 0.001, 0.145, 0.5, 1.0])
-    def test_grid_pass_bit_identical_to_pointwise(self, eps):
-        q = build_q(CounterexampleSpec(eps))
-        ts = [*PREMISE_GRID, *q.breakpoints]
-        pointwise = [exact_direct_convert(q, 2, t).hex() for t in ts]
-        assert [g.hex() for g in exact_direct_convert_grid(q, 2, ts)] == pointwise
 
     def test_equal_valued_q_bit_identical(self):
         q1 = build_q(CounterexampleSpec(0.3))

@@ -14,7 +14,6 @@ from khab.counterexample import (
     PREMISE_GRID,
     T0,
     CounterexampleSpec,
-    analyze_R,
     build_g,
     build_h,
     build_q,
@@ -24,7 +23,7 @@ from khab.counterexample import (
     log_moment,
     verify,
 )
-from khab.poly import Polynomial
+from khab.poly import Polynomial, positive_roots
 from khab.quad import QuadratureError, QuadResult, integrate, integrate_halfline
 from khab.transition import Params
 
@@ -152,31 +151,53 @@ class TestTestFunction:
 
 
 class TestExtrema:
-    def test_critical_points_match_surds(self):
-        rep = analyze_R()
-        assert rep.tau_max == pytest.approx((34.0 - 2.0 * SQRT37) / 63.0, abs=1e-10)
-        assert rep.tau_min == pytest.approx((34.0 + 2.0 * SQRT37) / 63.0, abs=1e-10)
-
-    def test_extremal_values_match_surds(self):
-        rep = analyze_R()
-        assert rep.r3_at_max == pytest.approx(
-            (394.0 + 592.0 * SQRT37) / 11907.0, abs=1e-10
+    def test_critical_points_and_values_match_surds(self):
+        # R = R3 * tau; R3 rises from R3(0) = -2 to a peak, dips, and climbs
+        # to R3(1) = 1, so R <= 1 on [0, 1]
+        r3 = ce._R3
+        crit = positive_roots(r3.derivative())
+        assert crit == pytest.approx(
+            [(34.0 - 2.0 * SQRT37) / 63.0, (34.0 + 2.0 * SQRT37) / 63.0], abs=1e-10
         )
-        assert rep.r3_at_min == pytest.approx(
-            (394.0 - 592.0 * SQRT37) / 11907.0, abs=1e-10
+        assert [r3(c) for c in crit] == pytest.approx(
+            [(394.0 + 592.0 * SQRT37) / 11907.0, (394.0 - 592.0 * SQRT37) / 11907.0],
+            abs=1e-10,
         )
-        assert rep.r3_at_max == pytest.approx(0.33, abs=0.01)
-        assert rep.r3_at_min == pytest.approx(-0.26, abs=0.01)
+        assert r3(0.0) == -2.0
+        assert r3(1.0) == 1.0
 
-    def test_segment_endpoints(self):
-        rep = analyze_R()
-        assert rep.r3_at_0 == -2.0
-        assert rep.r3_at_1 == 1.0
 
-    def test_bounded_by_one(self):
-        rep = analyze_R()
-        assert rep.max_r3_on_01 == 1.0
-        assert rep.r_bounded_by_one
+class TestNonnegative:
+    def test_shipped_family_is_nonnegative(self):
+        assert ce._basis().q_nonnegative is True
+
+    def test_dipped_q_reported(self, monkeypatch, cold):
+        # q_1's head loses 200 t^2, so it is negative for 0 < t < 0.06
+        def dipped_q(spec):
+            q = build_q(spec)
+            if spec.epsilon == 0.0:
+                return q
+            head = q.pieces[0] - Polynomial((0.0, 0.0, 200.0))
+            return PiecewisePolynomial(q.breakpoints, (head, q.pieces[1]))
+
+        monkeypatch.setattr(ce, "build_q", dipped_q)
+        assert not ce._basis().q_nonnegative
+        assert "q is negative on (0, t0)" in verify(CounterexampleSpec(0.5)).failures
+
+    @pytest.mark.parametrize(
+        "head,tail,want",
+        [
+            ((0.0, 12.0), (0.0, 12.0), True),
+            ((1.0, -1.0), (0.0, 12.0), True),  # root at 1 > t0
+            ((-1.0, 12.0), (0.0, 12.0), False),  # negative next to 0
+            ((T0, -1.0), (0.0, 12.0), False),  # root at t0 counts as inside
+            ((0.0, 12.0), (-0.5, 1.0), True),  # root at 0.5 < t0
+            ((0.0, 12.0), (-T0, 1.0), False),  # root at t0 counts as inside
+            ((0.0, 12.0), (1.0, -1.0), False),  # negative towards inf
+        ],
+    )
+    def test_pieces_decided_by_exact_signs(self, head, tail, want):
+        assert ce._nonnegative(Polynomial(head), Polynomial(tail)) is want
 
 
 class TestPremise:
@@ -424,6 +445,19 @@ class TestVerify:
             cache.cache_clear()
         verify(CounterexampleSpec(0.37))
         assert repr(verify(CounterexampleSpec(eps)).to_dict()) == cold_report
+
+    def test_constants_computed_once_across_tols(self, monkeypatch, cold):
+        # C(2, 2) does not depend on tol, so a second tol does not recompute it
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return compute_constants(*args, **kwargs)
+
+        monkeypatch.setattr(ce, "compute_constants", counting)
+        for tol in (1e-9, 1e-8):
+            assert verify(CounterexampleSpec(0.5), tol).failures == ()
+        assert len(calls) == 1
 
     def test_caches_are_the_two_listed(self):
         # the cold fixture empties every eps-independent cache there is

@@ -226,6 +226,18 @@ class TestEval:
         want = 4 * alpha**2 * t ** (2 * alpha - 1) / (1 + z) ** 2  # P_0 = 1
         assert transition_eval(build_transition(0, alpha), t) == pytest.approx(want, rel=1e-13)
 
+    @pytest.mark.parametrize("alpha", [7e153, 1e300])
+    @pytest.mark.parametrize("t,want", [(0.5, "-0x0.0p+0"), (2.0, "0x0.0p+0")])
+    def test_huge_alpha_underflows_to_signed_zero(self, alpha, t, want):
+        # 4 alpha^2 overflows; z = t^(2 alpha) or w = 1/z underflows, and so
+        # does the true value, with the sign of P near 0 and towards inf
+        assert transition_eval(build_transition(1, alpha), t).hex() == want
+
+    def test_huge_alpha_at_one_raises(self):
+        # Phi_1(alpha, 1) = alpha^2, which overflows
+        with pytest.raises(ValueError, match=r"Phi_1\(alpha=1e\+300\) at t = 1.0"):
+            transition_eval(build_transition(1, 1e300), 1.0)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_against_defining_expression(self, n, alpha):
