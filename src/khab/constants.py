@@ -83,22 +83,32 @@ def _cos_matrix(n: int) -> tuple[tuple[float, ...], ...]:
     """M_n: sin^(2k+2) cos^(2(n-1-k)) = sum_j M[j][k] cos(2 j theta).
 
     From sin^2 = -(y-1)^2/(4y) and cos^2 = (y+1)^2/(4y) at y = exp(2i theta),
-    M[j][k] = (-1)^(k+1) w_j [y^(n+j)] (y-1)^(2k+2) (y+1)^(2(n-1-k)) / 4^n
-    with w_0 = 1, w_j = 2: integers over 4^n, exact in floats for n <= 25.
+    M[j][k] = (-1)^(k+1) w_j [y^(n+j)] F_k / 4^n with w_0 = 1, w_j = 2 and
+    F_k = (y-1)^(2k+2) (y+1)^(2(n-1-k)): integers over 4^n, exact in floats
+    for n <= 25.  F_0 is (y-1)^2 times binomials, and F_(k+1) is F_k
+    divided twice by y+1, exactly, and multiplied by (y-1)^2, so the n
+    columns cost O(n^2) integer operations.
     """
-    def numerator(j: int, a: int) -> int:
-        return sum(
-            (-1) ** i * math.comb(a, i) * math.comb(2 * n - a, n + j - i)
-            for i in range(min(a, n + j) + 1)
-        )
 
-    return tuple(
-        tuple(
-            (-1) ** (k + 1) * (1 if j == 0 else 2) * numerator(j, 2 * k + 2) / 4**n
-            for k in range(n)
+    def times_square(f: list[int]) -> list[int]:  # f (y-1)^2
+        return [a - 2 * b + c for a, b, c in zip(f + [0, 0], [0] + f + [0], [0, 0] + f)]
+
+    def over_y_plus_1(f: list[int]) -> list[int]:  # f / (y+1), exact
+        q = [f[0]]
+        for c in f[1:-1]:
+            q.append(c - q[-1])
+        return q
+
+    scale = 4**n
+    f = times_square([math.comb(2 * n - 2, i) for i in range(2 * n - 1)])
+    columns = []
+    for k in range(n):
+        if k:
+            f = times_square(over_y_plus_1(over_y_plus_1(f)))
+        columns.append(
+            [(-1) ** (k + 1) * (1 if j == 0 else 2) * f[n + j] / scale for j in range(n + 1)]
         )
-        for j in range(n + 1)
-    )
+    return tuple(zip(*columns))
 
 
 def compute_constants(params: Params, tol: float = 1e-9) -> ConstantsReport:

@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import lru_cache
-from typing import Callable
 
+from ._value import Value
 from .kernel import KernelSpec, kernel_eval
 from .poly import Polynomial
 from .quad import integrate
@@ -56,8 +56,7 @@ class SmoothnessError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class PiecewisePolynomial:
+class PiecewisePolynomial(Value):
     """Polynomial pieces over (0, b1], (b1, b2], ..., (bk, inf).
 
     ``pieces[i]`` applies on the interval ending at ``breakpoints[i]``; the
@@ -65,18 +64,20 @@ class PiecewisePolynomial:
     piece on its right.
     """
 
-    breakpoints: tuple[float, ...]
-    pieces: tuple[Polynomial, ...]
+    __slots__ = ("breakpoints", "pieces", "_hash")
+    _fields = ("breakpoints", "pieces")
 
-    def __post_init__(self) -> None:
-        bps = tuple(float(b) for b in self.breakpoints)
+    def __init__(
+        self, breakpoints: tuple[float, ...], pieces: tuple[Polynomial, ...]
+    ) -> None:
+        bps = tuple(float(b) for b in breakpoints)
         if not all(math.isfinite(b) and b > 0 for b in bps):
             raise ValueError("breakpoints must be finite and positive")
         if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         pieces = tuple(
             p if isinstance(p, Polynomial) else Polynomial(tuple(p))
-            for p in self.pieces
+            for p in pieces
         )
         if len(pieces) != len(bps) + 1:
             raise ValueError("need exactly one piece more than breakpoints")

@@ -45,8 +45,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import le, sub, truediv
-from typing import ClassVar, NamedTuple
 
+from ._value import Value
 from .constants import ConstantsReport, compute_constants
 from .conversion import PiecewisePolynomial, exact_direct_convert, inverse_convert
 from .poly import _ROOT_TOL, Polynomial, positive_roots
@@ -59,17 +59,17 @@ _EPS = math.ulp(1.0)
 _R3 = Polynomial((-2.0, 16.0, -34.0, 21.0))  # R(tau) = R3(tau) * tau
 
 
-@dataclass(frozen=True)
-class CounterexampleSpec:
+class CounterexampleSpec(Value):
     """Deformation size eps in [0, 1] at the fixed pair n = 2, alpha = 2."""
 
-    epsilon: float = 1.0
-    params: ClassVar[Params] = Params(2, 2.0)
-    t0: ClassVar[float] = T0
+    __slots__ = _fields = ("epsilon",)
+    params = Params(2, 2.0)
+    t0 = T0
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.epsilon <= 1.0):
+    def __init__(self, epsilon: float = 1.0) -> None:
+        if not (0.0 <= epsilon <= 1.0):
             raise ValueError("epsilon must lie in [0, 1]")
+        object.__setattr__(self, "epsilon", epsilon)
 
 
 def build_h() -> Polynomial:
@@ -107,20 +107,35 @@ PREMISE_GRID = tuple(
 )
 
 
-class _Basis(NamedTuple):
+class _Basis:
     """What depends on neither eps nor tol: q_eps = q_0 + eps * q_delta,
     whether every q_eps is >= 0, C(2, 2), and per t of :data:`PREMISE_GRID`
     G_0(t), G_Delta(t), t*t and the premise's lower and upper bounds."""
 
-    q0: PiecewisePolynomial
-    q_delta: PiecewisePolynomial
-    q_nonnegative: bool
-    constants: ConstantsReport
-    g0: tuple[float, ...]
-    g_delta: tuple[float, ...]
-    squares: tuple[float, ...]
-    lows: tuple[float, ...]
-    highs: tuple[float, ...]
+    __slots__ = ("q0", "q_delta", "q_nonnegative", "constants", "g0", "g_delta",
+                 "squares", "lows", "highs")
+
+    def __init__(
+        self,
+        q0: PiecewisePolynomial,
+        q_delta: PiecewisePolynomial,
+        q_nonnegative: bool,
+        constants: ConstantsReport,
+        g0: tuple[float, ...],
+        g_delta: tuple[float, ...],
+        squares: tuple[float, ...],
+        lows: tuple[float, ...],
+        highs: tuple[float, ...],
+    ) -> None:
+        self.q0 = q0
+        self.q_delta = q_delta
+        self.q_nonnegative = q_nonnegative
+        self.constants = constants
+        self.g0 = g0
+        self.g_delta = g_delta
+        self.squares = squares
+        self.lows = lows
+        self.highs = highs
 
 
 def _nonnegative(head: Polynomial, tail: Polynomial) -> bool:
@@ -189,12 +204,14 @@ def _basis() -> _Basis:
     )
 
 
-@dataclass(frozen=True)
-class PremiseReport:
+class PremiseReport(Value):
     """Premise check on G, the direct conversion of q, along a grid."""
 
-    ok: bool
-    worst_margin: float
+    __slots__ = _fields = ("ok", "worst_margin")
+
+    def __init__(self, ok: bool, worst_margin: float) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "worst_margin", worst_margin)
 
 
 def check_premise(spec: CounterexampleSpec) -> PremiseReport:
@@ -272,11 +289,14 @@ def lhs_integral(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
     )
 
 
-class _PerTol(NamedTuple):
+class _PerTol:
     """What :func:`verify` needs at one tol that is the same for every eps."""
 
-    halfline: QuadResult
-    delta_I_base: QuadResult
+    __slots__ = ("halfline", "delta_I_base")
+
+    def __init__(self, halfline: QuadResult, delta_I_base: QuadResult) -> None:
+        self.halfline = halfline
+        self.delta_I_base = delta_I_base
 
 
 @lru_cache(maxsize=8)

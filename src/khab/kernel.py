@@ -11,25 +11,22 @@ and is O(n) per call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+
+from ._value import Value
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Kernel order n >= 0."""
+class KernelSpec(Value):
+    """Kernel order n >= 0, with ``gammas``, C(n,k) (-1)^k / k for k = 1..n."""
 
-    n: int
+    __slots__ = ("n", "gammas")
+    _fields = ("n",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 0:
+    def __init__(self, n: int) -> None:
+        if not isinstance(n, int) or n < 0:
             raise ValueError("kernel order n must be a nonnegative integer")
-
-    @cached_property
-    def gammas(self) -> tuple[float, ...]:
-        """C(n,k) (-1)^k / k for k = 1..n."""
-        n = self.n
-        return tuple(math.comb(n, k) * (-1.0) ** k / k for k in range(1, n + 1))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "gammas", tuple(
+            math.comb(n, k) * (-1.0) ** k / k for k in range(1, n + 1)))
 
 
 def kernel_eval(spec: KernelSpec, x: float) -> float:

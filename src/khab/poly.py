@@ -13,7 +13,8 @@ grid), so a root is refined in a handful of exact evaluations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._value import Value
 
 # Every root z is located to within _ROOT_TOL * min(1, z): relative below
 # z = 1, absolute above.  Refining on to one ulp would cost more exact
@@ -30,14 +31,13 @@ class RootCertificationError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Value):
     """Immutable dense polynomial, ``coeffs[k]`` multiplying ``x**k``."""
 
-    coeffs: tuple[float, ...] = ()
+    __slots__ = _fields = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coeffs)
+    def __init__(self, coeffs: tuple[float, ...] = ()) -> None:
+        coeffs = tuple(float(c) for c in coeffs)
         # normal form: no trailing (highest-degree) zeros
         while coeffs and coeffs[-1] == 0.0:
             coeffs = coeffs[:-1]

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable
 
 # 15-point Kronrod abscissae (positive half, descending) with weights, and
 # the embedded 7-point Gauss weights for abscissae 1, 3, 5, 7.

@@ -25,46 +25,47 @@ exactly n: its leading coefficient is prod_k (1 + 2*alpha/k) >= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._value import Value
 from .poly import Polynomial, positive_roots
 
 MAX_ORDER = 170  # conjecture levels n <= 171; C(n, alpha) loses digits past n ~ 50
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(Value):
     """Conjecture-level parameter pair: integer n >= 1 and real alpha > 0."""
 
-    n: int
-    alpha: float
+    __slots__ = _fields = ("n", "alpha")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+    def __init__(self, n: int, alpha: float) -> None:
+        if not isinstance(n, int) or n < 1:
             raise ValueError("n must be a positive integer")
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+        if not (alpha > 0 and math.isfinite(alpha)):
             raise ValueError("alpha must be a positive real")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "alpha", alpha)
 
 
-@dataclass(frozen=True)
-class TransitionFunction:
+class TransitionFunction(Value):
     """Phi_order(alpha, .) in rational normal form.
 
     ``p_poly`` holds P_order(alpha, .) in the variable z = t^(2*alpha); the
     denominator exponent is ``order + 2``.
     """
 
-    order: int
-    alpha: float
-    p_poly: Polynomial
+    __slots__ = _fields = ("order", "alpha", "p_poly")
+
+    def __init__(self, order: int, alpha: float, p_poly: Polynomial) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "p_poly", p_poly)
 
     @property
     def exponent(self) -> int:
         return self.order + 2
 
 
-@dataclass(frozen=True)
-class SignPartition:
+class SignPartition(Value):
     """Sign layout of a transition function on the half-line t > 0.
 
     ``boundary_ts`` are the positive z-roots of the numerator polynomial
@@ -72,8 +73,11 @@ class SignPartition:
     -1, of Phi on each open interval between them.
     """
 
-    boundary_ts: tuple[float, ...]
-    signs: tuple[int, ...]
+    __slots__ = _fields = ("boundary_ts", "signs")
+
+    def __init__(self, boundary_ts: tuple[float, ...], signs: tuple[int, ...]) -> None:
+        object.__setattr__(self, "boundary_ts", boundary_ts)
+        object.__setattr__(self, "signs", signs)
 
     def intervals(self) -> list[tuple[float, float, int]]:
         """(lo, hi, sign) triples covering (0, inf)."""

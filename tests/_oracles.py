@@ -189,6 +189,27 @@ def series_numerator_running(alpha, factors, count, power, weighted):
             for j in range(count)]
 
 
+def cos_matrix_comb_sums(n):
+    """M_n of ``constants._cos_matrix``, each entry by its own binomial sum:
+    [y^(n+j)] (y-1)^a (y+1)^(2n-a) = sum_i (-1)^i C(a, i) C(2n-a, n+j-i)
+    for even a = 2k+2, in O(n^3) integer operations all told."""
+    import math
+
+    def numerator(j, a):
+        return sum(
+            (-1) ** i * math.comb(a, i) * math.comb(2 * n - a, n + j - i)
+            for i in range(min(a, n + j) + 1)
+        )
+
+    return tuple(
+        tuple(
+            (-1) ** (k + 1) * (1 if j == 0 else 2) * numerator(j, 2 * k + 2) / 4**n
+            for k in range(n)
+        )
+        for j in range(n + 1)
+    )
+
+
 def constants_exact_mp(n, alpha, dps=40):
     """(C, m_minus) of Phi_{n-1}(alpha, .) from the exact numerator, as mpf.
 

@@ -9,7 +9,12 @@ import pytest
 import sympy
 
 import khab.constants as constants
-from _oracles import constants_exact_mp, constants_mp, transition_numerator_exact
+from _oracles import (
+    constants_exact_mp,
+    constants_mp,
+    cos_matrix_comb_sums,
+    transition_numerator_exact,
+)
 from khab.constants import (
     ConstantsError,
     _cos_matrix,
@@ -151,6 +156,13 @@ class TestClosedForm:
                         [0, mp.pi / 2],
                     )
                     assert abs(matrix[j][k] - ref) <= 1e-15
+
+    def test_cos_matrix_is_the_binomial_sums(self):
+        # the column recurrence gives the same integers as the entry-wise
+        # binomial sums, so the same correctly rounded quotients
+        for n in range(1, 41):
+            want = [[x.hex() for x in row] for row in cos_matrix_comb_sums(n)]
+            assert [[x.hex() for x in row] for row in _cos_matrix(n)] == want, n
 
     def test_c22_against_reference(self):
         # bench/reference/values.json, 30 digits without khab code

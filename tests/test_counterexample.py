@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 
@@ -71,8 +70,12 @@ class TestSpec:
             CounterexampleSpec(-0.1)
 
     def test_epsilon_is_the_only_field(self):
-        assert [f.name for f in dataclasses.fields(CounterexampleSpec)] == ["epsilon"]
+        # an instance holds epsilon alone; params and t0 live on the class
         spec = CounterexampleSpec(0.5)
+        assert CounterexampleSpec.__slots__ == ("epsilon",)
+        assert not hasattr(spec, "__dict__")
+        assert {"params", "t0"} <= set(vars(CounterexampleSpec))
+        assert repr(spec) == "CounterexampleSpec(epsilon=0.5)"
         assert spec.params == Params(2, 2.0)
         assert spec.t0 == T0
 
@@ -260,7 +263,7 @@ class TestPremise:
         # within rounding, point by point on the premise grid and at t0,
         # and the verdict is the same
         basis = ce._basis()
-        q0_t0, delta_t0 = (exact_direct_convert(q, 2, T0) for q in basis[:2])
+        q0_t0, delta_t0 = (exact_direct_convert(q, 2, T0) for q in (basis.q0, basis.q_delta))
         for eps in eps_grid:
             spec = CounterexampleSpec(eps)
             q = build_q(spec)
