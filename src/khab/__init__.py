@@ -22,7 +22,7 @@ from .counterexample import (
     lhs_integral,
     verify,
 )
-from .kernel import KernelSpec, kernel_eval
+from .kernel import kernel_eval
 from .poly import Polynomial, RootCertificationError, positive_roots
 from .quad import QuadratureError, QuadResult, integrate, integrate_halfline
 from .transition import (
@@ -39,7 +39,6 @@ from .transition import (
 __all__ = [
     "ConstantsReport",
     "CounterexampleSpec",
-    "KernelSpec",
     "Params",
     "PiecewisePolynomial",
     "Polynomial",

@@ -22,9 +22,10 @@ standard error.  ``--alpha``, ``--tol``, ``--t`` and
 ``--y`` must be finite and > 0, and ``plotdata --from/--to`` finite.  Numeric text
 output prints 10 significant digits; JSON floats round-trip bit-exactly, and JSON
 output never holds NaN or infinity.
-The quadrature tolerance is ``--tol``, 1e-9 by default; ``transition``,
-``constants``, ``convert`` and ``plotdata`` compute in closed form, with
-roots located to a fixed accuracy, and ignore it.
+The quadrature tolerance ``--tol``, 1e-9 by default, is read by
+``counterexample``, ``report`` and ``identity``; ``convert`` accepts it
+unread, and the closed-form ``transition``, ``constants`` and ``plotdata``
+refuse it.  ``convert --direct`` exits 1 for ``--n`` above 25.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .counterexample import (
     build_q,
     verify,
 )
-from .kernel import KernelSpec, kernel_eval
+from .kernel import kernel_eval
 from .quad import QuadratureError, integrate_halfline
 from .transition import (
     MAX_ORDER,
@@ -76,17 +77,12 @@ def _finite_positive(x: float) -> bool:
 
 
 def _add_common(p: argparse.ArgumentParser,
-                formats: tuple[str, ...] = ("text", "json")) -> None:
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=1e-9,
-        help="absolute quadrature tolerance (default 1e-9); "
-        "no effect on transition, constants, convert and plotdata",
-    )
-    if formats:
-        p.add_argument("--format", choices=formats, default=formats[0],
-                       help="output format")
+                formats: tuple[str, ...] = ("text", "json"), tol: bool = True) -> None:
+    if tol:
+        p.add_argument("--tol", type=float, default=1e-9,
+                       help="absolute quadrature tolerance (default 1e-9)")
+    p.add_argument("--format", choices=formats, default=formats[0],
+                   help="output format")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,13 +100,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--t", type=float, action="append", default=None,
                    help="evaluation point (repeatable)")
-    _add_common(p)
+    _add_common(p, tol=False)
 
     p = sub.add_parser("constants", help="correction constant C(n, alpha) "
                        "and its decomposition")
     p.add_argument("--n", type=int, default=2, help=_N_HELP)
     p.add_argument("--alpha", type=float, default=2.0)
-    _add_common(p)
+    _add_common(p, tol=False)
 
     p = sub.add_parser("counterexample", help="verify the deformation "
                        "family at n=2, alpha=2")
@@ -152,7 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="lo", type=float, default=None)
     p.add_argument("--to", dest="hi", type=float, default=None)
     p.add_argument("--points", type=int, default=101)
-    _add_common(p, ())
 
     return parser
 
@@ -165,7 +160,7 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     eps = getattr(args, "epsilon", 0.0)
     if not 0.0 <= eps <= 1.0:
         parser.error("--epsilon must lie in [0, 1]")
-    if not _finite_positive(args.tol):
+    if not _finite_positive(getattr(args, "tol", 1.0)):
         parser.error("--tol must be finite and > 0")
     if args.command == "convert" and args.direct and not args.t:
         parser.error("--direct requires at least one --t")
@@ -221,7 +216,7 @@ def _cmd_transition(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    rep = compute_constants(Params(args.n, args.alpha), args.tol)
+    rep = compute_constants(Params(args.n, args.alpha))
     if args.format == "json":
         _emit_json(rep.to_dict())
     else:
@@ -264,13 +259,12 @@ def _cmd_counterexample(args) -> int:
 
 def _cmd_identity(args) -> int:
     tf = build_transition(args.n - 1, args.alpha)
-    spec = KernelSpec(args.n - 1)
     two_alpha = 2.0 * args.alpha
     ys = args.y or [0.25, 0.5, 1.0, 2.0, 4.0]
     rows = []
     for y in ys:
         res = integrate_halfline(
-            lambda t: transition_eval(tf, t) * kernel_eval(spec, y / t),
+            lambda t: transition_eval(tf, t) * kernel_eval(tf.order, y / t),
             y,
             args.tol,
         )

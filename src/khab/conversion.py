@@ -36,7 +36,7 @@ from collections.abc import Callable
 from functools import lru_cache
 
 from ._value import Value
-from .kernel import KernelSpec, kernel_eval
+from .kernel import kernel_eval
 from .poly import Polynomial
 from .quad import integrate
 from .transition import Params
@@ -173,7 +173,7 @@ def direct_convert(
     """
     if not (math.isfinite(t) and t > 0):
         raise ValueError("direct_convert requires finite t > 0")
-    spec = KernelSpec(params.n - 1)
+    m = params.n - 1
     pieces = _pieces(q, t)
     share = tol / len(pieces)
     parts = []
@@ -181,11 +181,11 @@ def direct_convert(
         qi = q.pieces[i] if isinstance(q, PiecewisePolynomial) else q
         if i == 0:  # y = u^2
             f = lambda u, qi=qi: (  # noqa: E731
-                2.0 * u * kernel_eval(spec, u * u / t) * qi(u * u)
+                2.0 * u * kernel_eval(m, u * u / t) * qi(u * u)
             )
             b = math.sqrt(b)
         else:
-            f = lambda y, qi=qi: kernel_eval(spec, y / t) * qi(y)  # noqa: E731
+            f = lambda y, qi=qi: kernel_eval(m, y / t) * qi(y)  # noqa: E731
         parts.append(integrate(f, a, b, share).value)
     return math.fsum(parts)
 
@@ -221,10 +221,14 @@ def _direct_table(
     of x^j A_m(x) over (0, 1), is j! m! / ((j+1) (j+m+1)!) with m = n-1.
     A, B and D_k sum, over each breakpoint below the interval, the
     antiderivative in y of p(y) A_m(y/t) at the breakpoint, p the piece on
-    its left minus the piece on its right.
+    its left minus the piece on its right.  Their weights C(m,k) (-1)^k / k
+    alternate, so the D_k cancel and an n above 25 raises ValueError.
     """
+    if not isinstance(n, int) or not 1 <= n <= 25:
+        raise ValueError(f"the closed-form direct conversion requires an "
+                         f"integer 1 <= n <= 25, got {n!r}")
     m = n - 1
-    gammas = KernelSpec(m).gammas
+    gammas = [math.comb(m, k) * (-1.0) ** k / k for k in range(1, m + 1)]
     big_gamma = math.fsum(gammas)
     a_terms: list[float] = []
     b_terms: list[float] = []
@@ -251,7 +255,7 @@ def _direct_table(
 
 def exact_direct_convert(q: PiecewisePolynomial, n: int, t: float) -> float:
     """Closed-form direct conversion of a piecewise-polynomial q at a finite
-    t > 0, read from the cached table of (q, n)."""
+    t > 0 and n <= 25, read from the cached table of (q, n)."""
     if not (math.isfinite(t) and t > 0):
         raise ValueError("exact_direct_convert requires finite t > 0")
     e, a, b, d = _direct_table(q, n)[bisect_right(q.breakpoints, t)]

@@ -50,14 +50,16 @@ class TestTransitionCommand:
         assert data["p_coeffs"] == [-3.0, 5.0]
         assert data["values"][0]["phi"] == pytest.approx(4.0)
 
-    def test_tol_has_no_effect(self, capsys):
-        # the sign boundaries are located to a fixed 1e-13 relative accuracy
+    def test_tol_refused(self, capsys):
+        # the sign boundaries are located to a fixed 1e-13 relative accuracy,
+        # so a tolerance would be read by nothing
         argv = ["transition", "--n", "7", "--alpha", "3", "--format", "json"]
-        outputs = {run(capsys, argv + extra) for extra in
-                   ([], ["--tol", "1e-3"], ["--tol", "1e-15"])}
-        assert len(outputs) == 1
-        ((code, out, _),) = outputs
+        code, out, _ = run(capsys, argv)
         assert code == 0 and len(json.loads(out)["boundaries"]) == 5
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--tol", "1e-15"])
+        assert excinfo.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
     def test_usage_error_on_bad_alpha(self, capsys):
         for alpha in ("-1", "inf", "nan"):
@@ -121,12 +123,15 @@ class TestOutOfRange:
         assert "Traceback" not in done.stderr
         assert done.stdout == ""
 
-    @pytest.mark.parametrize("argv", [
-        ["--n", "172", "--inverse"],
-        ["--n", "2000", "--direct", "--t", "2"],
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "172", "--inverse"], "n <= 171"),
+        (["--n", "2000", "--direct", "--t", "2"], "n <= 171"),
+        (["--n", "26", "--direct", "--t", "3"], "n <= 25"),
+        (["--n", "60", "--direct", "--t", "3"], "n <= 25"),
     ])
-    def test_convert_order_beyond_range(self, tmp_path, argv):
-        # once, an OverflowError traceback from (n - 1)! or C(n, k)
+    def test_convert_order_beyond_range(self, tmp_path, argv, message):
+        # once, an OverflowError traceback from (n - 1)! or C(n, k); and at
+        # n = 60, g(3) = -0.114 against a true 1.2e-3 from cancelling terms
         q_file = tmp_path / "q.json"
         q_file.write_text(json.dumps({"breakpoints": [], "pieces": [[0, 0, 1]]}))
         done = subprocess.run(
@@ -135,8 +140,8 @@ class TestOutOfRange:
         )
         assert done.returncode == 1
         assert done.stderr.startswith("error:")
-        assert "n <= 171" in done.stderr and "Traceback" not in done.stderr
-        assert done.stdout == ""
+        assert message in done.stderr and "Traceback" not in done.stderr
+        assert len(done.stderr.splitlines()) == 1 and done.stdout == ""
 
     def test_help_states_n_range(self, capsys):
         with pytest.raises(SystemExit):
@@ -261,6 +266,15 @@ class TestIdentityCommand:
         row = json.loads(out)["rows"][0]
         assert row["target"] == pytest.approx(math.log(3.0), rel=1e-12)
         assert abs(row["residual"]) <= 1e-8
+
+    @pytest.mark.parametrize("n", ["40", "171"])
+    @pytest.mark.parametrize("alpha", ["0.3", "1"])
+    def test_high_order(self, capsys, n, alpha):
+        # orders where a kernel that cancels exhausts the panel budget
+        code, out, _ = run(capsys, ["identity", "--n", n, "--alpha", alpha,
+                                    "--format", "json"])
+        assert code == 0
+        assert max(abs(row["residual"]) for row in json.loads(out)["rows"]) <= 1e-9
 
     @pytest.mark.parametrize("y", ["inf", "nan"])
     def test_y_not_finite_is_usage_error(self, capsys, y):
@@ -445,21 +459,30 @@ class TestTolerancePlumbing:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["transition"],
-            ["constants"],
             ["counterexample"],
             ["report"],
             ["identity"],
             ["convert", "--inverse", "--input", "g.json"],
-            ["plotdata", "--kind", "q"],
         ],
         ids=lambda argv: argv[0],
     )
     def test_default_tol(self, argv):
-        # every subcommand takes --tol, 1e-9 unless the flag is given
+        # the subcommands that take --tol default it to 1e-9
         parser = _build_parser()
         assert parser.parse_args(argv).tol == 1e-9
         assert parser.parse_args(argv + ["--tol", "1e-6"]).tol == 1e-6
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["transition"], ["constants"], ["plotdata", "--kind", "q"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_tol_refused_where_unread(self, capsys, argv):
+        # these compute in closed form: a tolerance would be read by nothing
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--tol", "1e-6"])
+        assert excinfo.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -483,8 +506,8 @@ class TestTolerancePlumbing:
 
     def test_bad_tol_flag_is_usage_error(self, capsys):
         for command, tol in (
-            ("constants", "0"),
-            ("constants", "nan"),
+            ("identity", "0"),
+            ("report", "nan"),
             ("counterexample", "inf"),
         ):
             with pytest.raises(SystemExit) as excinfo:

@@ -3,36 +3,33 @@ import math
 import pytest
 
 from _oracles import kernel_integral_mp
-from khab.kernel import KernelSpec, kernel_eval
+from khab.kernel import kernel_eval
 
 
 class TestClosedForm:
     def test_empty_interval(self):
-        assert kernel_eval(KernelSpec(1), 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert kernel_eval(1, 1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_order_zero_is_minus_log(self):
-        assert kernel_eval(KernelSpec(0), 0.5) == pytest.approx(math.log(2))
-        assert kernel_eval(KernelSpec(0), 0.1) == pytest.approx(-math.log(0.1))
+        assert kernel_eval(0, 0.5) == pytest.approx(math.log(2))
+        assert kernel_eval(0, 0.1) == pytest.approx(-math.log(0.1))
 
     def test_order_one(self):
         # A_1(x) = -ln x - (1 - x)
-        assert kernel_eval(KernelSpec(1), 0.5) == pytest.approx(
-            math.log(2) - 0.5, abs=1e-15
-        )
+        assert kernel_eval(1, 0.5) == pytest.approx(math.log(2) - 0.5, abs=1e-15)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            kernel_eval(KernelSpec(1), 0.0)
+            kernel_eval(1, 0.0)
         with pytest.raises(ValueError):
-            kernel_eval(KernelSpec(1), -0.5)
+            kernel_eval(1, -0.5)
         with pytest.raises(ValueError):
-            kernel_eval(KernelSpec(1), 1.5)
+            kernel_eval(1, 1.5)
 
     def test_bad_order(self):
-        with pytest.raises(ValueError):
-            KernelSpec(-1)
-        with pytest.raises(ValueError):
-            KernelSpec(1.5)
+        for n in (-1, 1.5, 2.0):
+            with pytest.raises(ValueError, match="kernel order n must be a nonnegative"):
+                kernel_eval(n, 0.5)
 
 
 class TestQuadratureOracle:
@@ -40,48 +37,49 @@ class TestQuadratureOracle:
         assert kernel_integral_mp(1, 0.5) == pytest.approx(math.log(2) - 0.5, abs=1e-12)
 
     def test_order_three(self):
-        closed = kernel_eval(KernelSpec(3), 0.25)
+        closed = kernel_eval(3, 0.25)
         assert abs(kernel_integral_mp(3, 0.25) - closed) <= 1e-10
 
     def test_agreement_on_grid(self):
-        # re-derivation check for the binomial expansion, all orders used
+        # every order the package's tests and benchmark use
         for n in range(7):
-            spec = KernelSpec(n)
             for i in range(1, 100):
                 x = i / 100.0
-                closed = kernel_eval(spec, x)
+                closed = kernel_eval(n, x)
                 assert abs(closed - kernel_integral_mp(n, x)) <= 1e-10, (n, x)
 
     def test_agreement_near_zero(self):
         # below the grid, where the -ln x term dominates
         for n in range(7):
-            spec = KernelSpec(n)
             for x in (1e-12, 1e-8, 1e-4, 1e-3):
-                closed = kernel_eval(spec, x)
+                closed = kernel_eval(n, x)
                 assert abs(closed - kernel_integral_mp(n, x)) <= 1e-10, (n, x)
+
+    @pytest.mark.parametrize("n", [25, 40, 60, 171])
+    @pytest.mark.parametrize("x", [1e-6, 0.01, 0.3, 0.9])
+    def test_high_order(self, n, x):
+        # orders where the binomial expansion of (1-y)^n cancels: summed, it
+        # is off by up to 8e-11 at n = 25, 2e-6 at n = 40 and 0.99 at n = 60
+        assert abs(kernel_eval(n, x) - kernel_integral_mp(n, x)) <= 1e-14
 
 
 class TestShapeInvariants:
     def test_positivity(self):
         for n in range(9):
-            spec = KernelSpec(n)
             for i in range(1, 100):
-                assert kernel_eval(spec, i / 100.0) > 0.0
+                assert kernel_eval(n, i / 100.0) > 0.0
 
     def test_strictly_decreasing(self):
         for n in range(9):
-            spec = KernelSpec(n)
             prev = math.inf
             for i in range(1, 101):
-                v = kernel_eval(spec, i / 100.0)
+                v = kernel_eval(n, i / 100.0)
                 assert v < prev
                 prev = v
 
     def test_order_domination(self):
         # integrand shrinks with n, so A_n <= A_{n-1} pointwise
         for n in range(1, 9):
-            hi = KernelSpec(n - 1)
-            lo = KernelSpec(n)
             for i in range(1, 100):
                 x = i / 100.0
-                assert kernel_eval(lo, x) <= kernel_eval(hi, x) + 1e-15
+                assert kernel_eval(n, x) <= kernel_eval(n - 1, x) + 1e-15

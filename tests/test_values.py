@@ -15,7 +15,6 @@ import pytest
 import khab
 from khab import (
     CounterexampleSpec,
-    KernelSpec,
     Params,
     PiecewisePolynomial,
     Polynomial,
@@ -35,7 +34,6 @@ CASES = [
      "TransitionFunction(order=1, alpha=2.0, p_poly=Polynomial(coeffs=(1.0,)))"),
     (SignPartition, ((1.0,), (1, -1)), ((), (1,)),
      "SignPartition(boundary_ts=(1.0,), signs=(1, -1))"),
-    (KernelSpec, (5,), (4,), "KernelSpec(n=5)"),
     (PiecewisePolynomial, ((1.0,), (LINE, ONE)), ((2.0,), (LINE, ONE)),
      "PiecewisePolynomial(breakpoints=(1.0,), pieces=(Polynomial(coeffs=(0.0, 1.0)), "
      "Polynomial(coeffs=(1.0,))))"),
@@ -88,8 +86,6 @@ class TestValueSemantics:
         (lambda: Params(1.0, 1.0), "n must be a positive integer"),
         (lambda: Params(2, 0.0), "alpha must be a positive real"),
         (lambda: Params(2, math.inf), "alpha must be a positive real"),
-        (lambda: KernelSpec(-1), "kernel order n must be a nonnegative integer"),
-        (lambda: KernelSpec(2.0), "kernel order n must be a nonnegative integer"),
         (lambda: CounterexampleSpec(1.5), "epsilon must lie in"),
         (lambda: PiecewisePolynomial((2.0, 1.0), (ONE,) * 3), "strictly increasing"),
         (lambda: PiecewisePolynomial((0.0,), (ONE,) * 2), "finite and positive"),
@@ -100,12 +96,6 @@ class TestValueSemantics:
 def test_validation(build, message):
     with pytest.raises(ValueError, match=message):
         build()
-
-
-def test_kernel_gammas():
-    # C(5, k) (-1)^k / k for k = 1..5
-    assert KernelSpec(5).gammas == (-5.0, 5.0, -10.0 / 3.0, 1.25, -0.2)
-    assert KernelSpec(0).gammas == ()
 
 
 def test_counterexample_class_constants():
