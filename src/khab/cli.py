@@ -12,7 +12,10 @@ default: ``text`` or ``json`` on ``transition``, ``constants``,
 ``counterexample`` and ``convert``; ``json`` or ``text`` on ``report``;
 ``text``, ``json`` or ``csv`` on ``identity``.  ``plotdata`` has no
 ``--format`` and always prints CSV; ``convert --inverse`` always prints
-JSON and reads no ``--t``.
+JSON and reads no ``--t``.  A flag a mode never reads is a usage error
+naming it, even at its default: ``convert --inverse`` refuses ``--t`` and
+``--format``; ``plotdata`` takes ``--n`` and ``--alpha`` only with
+``--kind transition``, and ``--epsilon`` only with ``g`` or ``q``.
 
 Exit codes: 0 success, 1 verification failure or a stage that cannot
 compute (also ``--n`` > 171, or a C(n, alpha) whose rounding bound exceeds
@@ -77,11 +80,12 @@ def _finite_positive(x: float) -> bool:
 
 
 def _add_common(p: argparse.ArgumentParser,
-                formats: tuple[str, ...] = ("text", "json"), tol: bool = True) -> None:
+                formats: tuple[str, ...] = ("text", "json"), tol: bool = True,
+                format_default: str | None = None) -> None:
     if tol:
         p.add_argument("--tol", type=float, default=1e-9,
                        help="absolute quadrature tolerance (default 1e-9)")
-    p.add_argument("--format", choices=formats, default=formats[0],
+    p.add_argument("--format", choices=formats, default=format_default or formats[0],
                    help="output format")
 
 
@@ -135,16 +139,19 @@ def _build_parser() -> argparse.ArgumentParser:
     direction.add_argument("--direct", action="store_true",
                            help="test function q -> profile values g(t)")
     p.add_argument("--input", required=True, help="input JSON file")
-    p.add_argument("--t", type=float, action="append", default=None,
+    p.add_argument("--t", type=float, action="append", default=argparse.SUPPRESS,
                    help="evaluation points for --direct (repeatable)")
-    _add_common(p)
+    _add_common(p, format_default=argparse.SUPPRESS)
 
     p = sub.add_parser("plotdata", help="CSV curve samples (x,value)")
     p.add_argument("--kind", choices=("R3", "transition", "g", "q", "h"),
                    required=True)
-    p.add_argument("--n", type=int, default=2, help=_N_HELP)
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--epsilon", type=float, default=1.0)
+    p.add_argument("--n", type=int, default=argparse.SUPPRESS,
+                   help=_N_HELP + ", for --kind transition (default 2)")
+    p.add_argument("--alpha", type=float, default=argparse.SUPPRESS,
+                   help="for --kind transition (default 2)")
+    p.add_argument("--epsilon", type=float, default=argparse.SUPPRESS,
+                   help="for --kind g or q (default 1)")
     p.add_argument("--from", dest="lo", type=float, default=None)
     p.add_argument("--to", dest="hi", type=float, default=None)
     p.add_argument("--points", type=int, default=101)
@@ -152,7 +159,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unread(args: argparse.Namespace) -> tuple[str, tuple[str, ...]]:
+    """The mode of ``args`` and the flags it never reads.  Those flags
+    default to ``argparse.SUPPRESS``, so they are in ``args`` only if given."""
+    if args.command == "plotdata":
+        unread = () if args.kind == "transition" else ("n", "alpha")
+        if args.kind not in ("g", "q"):
+            unread += ("epsilon",)
+        return f"plotdata --kind {args.kind}", unread
+    if args.command == "convert" and args.inverse:
+        return "convert --inverse", ("t", "format")
+    return args.command, ()
+
+
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    mode, unread = _unread(args)
+    for name in unread:
+        if name in vars(args):
+            parser.error(f"--{name} is not read by {mode}")
     if getattr(args, "n", 1) < 1:
         parser.error("--n must be >= 1")
     if not _finite_positive(getattr(args, "alpha", 1.0)):
@@ -162,7 +186,7 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         parser.error("--epsilon must lie in [0, 1]")
     if not _finite_positive(getattr(args, "tol", 1.0)):
         parser.error("--tol must be finite and > 0")
-    if args.command == "convert" and args.direct and not args.t:
+    if args.command == "convert" and args.direct and "t" not in vars(args):
         parser.error("--direct requires at least one --t")
     for flag in ("t", "y"):
         if not all(map(_finite_positive, getattr(args, flag, None) or ())):
@@ -301,7 +325,7 @@ def _cmd_convert(args) -> int:
         _emit_json(q.to_dict())
         return 0
     rows = [(t, exact_direct_convert(pw, args.n, t)) for t in args.t]
-    if args.format == "json":
+    if getattr(args, "format", "text") == "json":
         _emit_json({"values": [{"t": t, "g": g} for t, g in rows]})
     else:
         for t, g in rows:
@@ -318,11 +342,11 @@ def _cmd_plotdata(args) -> int:
     elif kind == "h":
         f = build_h()
     elif kind == "g":
-        f = build_g(CounterexampleSpec(args.epsilon))
+        f = build_g(CounterexampleSpec(getattr(args, "epsilon", 1.0)))
     elif kind == "q":
-        f = build_q(CounterexampleSpec(args.epsilon))
+        f = build_q(CounterexampleSpec(getattr(args, "epsilon", 1.0)))
     else:
-        tf = build_transition(args.n - 1, args.alpha)
+        tf = build_transition(getattr(args, "n", 2) - 1, getattr(args, "alpha", 2.0))
         f = lambda t: transition_eval(tf, t)  # noqa: E731
 
     print("x,value")

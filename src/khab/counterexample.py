@@ -45,9 +45,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import le, sub, truediv
+from types import SimpleNamespace
 
 from ._value import Value
-from .constants import ConstantsReport, compute_constants
+from .constants import compute_constants
 from .conversion import PiecewisePolynomial, exact_direct_convert, inverse_convert
 from .poly import _ROOT_TOL, Polynomial, positive_roots
 from .quad import QuadResult, _check_tol, integrate, integrate_halfline
@@ -107,37 +108,6 @@ PREMISE_GRID = tuple(
 )
 
 
-class _Basis:
-    """What depends on neither eps nor tol: q_eps = q_0 + eps * q_delta,
-    whether every q_eps is >= 0, C(2, 2), and per t of :data:`PREMISE_GRID`
-    G_0(t), G_Delta(t), t*t and the premise's lower and upper bounds."""
-
-    __slots__ = ("q0", "q_delta", "q_nonnegative", "constants", "g0", "g_delta",
-                 "squares", "lows", "highs")
-
-    def __init__(
-        self,
-        q0: PiecewisePolynomial,
-        q_delta: PiecewisePolynomial,
-        q_nonnegative: bool,
-        constants: ConstantsReport,
-        g0: tuple[float, ...],
-        g_delta: tuple[float, ...],
-        squares: tuple[float, ...],
-        lows: tuple[float, ...],
-        highs: tuple[float, ...],
-    ) -> None:
-        self.q0 = q0
-        self.q_delta = q_delta
-        self.q_nonnegative = q_nonnegative
-        self.constants = constants
-        self.g0 = g0
-        self.g_delta = g_delta
-        self.squares = squares
-        self.lows = lows
-        self.highs = highs
-
-
 def _nonnegative(head: Polynomial, tail: Polynomial) -> bool:
     """Whether q, ``head`` on (0, t0) and ``tail`` on (t0, inf), is >= 0,
     decided from exact signs.  :func:`positive_roots` reads the float
@@ -159,9 +129,12 @@ def _nonnegative(head: Polynomial, tail: Polynomial) -> bool:
 
 
 @lru_cache(maxsize=1)
-def _basis() -> _Basis:
+def _basis() -> SimpleNamespace:
     """The record of the family that depends on neither eps nor tol, once
-    per process.
+    per process: q_eps = ``q0`` + eps * ``q_delta``; ``q_nonnegative``,
+    whether every q_eps is >= 0; ``constants``, C(2, 2); and per t of
+    :data:`PREMISE_GRID`, ``g0`` and ``g_delta``, G_0(t) and G_Delta(t),
+    ``squares``, t*t, and ``lows`` and ``highs``, the premise's bounds.
 
     g_eps = t^2 (1 - eps h) is affine in eps and the inverse conversion is
     linear, so q_eps is too: q_0 = :func:`build_q` at eps = 0, which is
@@ -186,21 +159,21 @@ def _basis() -> _Basis:
     params = CounterexampleSpec.params
     squares = tuple(t * t for t in PREMISE_GRID)
     slacks = [1e-12 * max(1.0, sq) for sq in squares]
-    return _Basis(
-        q0,
-        q_delta,
-        all(
+    return SimpleNamespace(
+        q0=q0,
+        q_delta=q_delta,
+        q_nonnegative=all(
             _nonnegative(*(a + eps * d for a, d in zip(q0.pieces, delta)))
             for eps in (0.0, 1.0)
         ),
-        compute_constants(params),
-        *(
-            tuple(exact_direct_convert(q, params.n, t) for t in PREMISE_GRID)
-            for q in (q0, q_delta)
+        constants=compute_constants(params),
+        g0=tuple(exact_direct_convert(q0, params.n, t) for t in PREMISE_GRID),
+        g_delta=tuple(
+            exact_direct_convert(q_delta, params.n, t) for t in PREMISE_GRID
         ),
-        squares,
-        tuple(-slack for slack in slacks),
-        tuple(sq + slack for sq, slack in zip(squares, slacks)),
+        squares=squares,
+        lows=tuple(-slack for slack in slacks),
+        highs=tuple(sq + slack for sq, slack in zip(squares, slacks)),
     )
 
 
@@ -289,21 +262,13 @@ def lhs_integral(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
     )
 
 
-class _PerTol:
-    """What :func:`verify` needs at one tol that is the same for every eps."""
-
-    __slots__ = ("halfline", "delta_I_base")
-
-    def __init__(self, halfline: QuadResult, delta_I_base: QuadResult) -> None:
-        self.halfline = halfline
-        self.delta_I_base = delta_I_base
-
-
 @lru_cache(maxsize=8)
-def _per_tol(tol: float) -> _PerTol:
-    """Once per process and tol: the half-line part of the conclusion
-    integral, 12 t against the log weight over (t0, inf) at tol/2, and
-    delta_I's base integral of Phi_1(2,t) t^2 h(t) over (0, t0)."""
+def _per_tol(tol: float) -> SimpleNamespace:
+    """What :func:`verify` needs at one tol that is the same for every eps,
+    once per process and tol: ``halfline``, the half-line part of the
+    conclusion integral, 12 t against the log weight over (t0, inf) at
+    tol/2, and ``delta_I_base``, delta_I's base integral of
+    Phi_1(2,t) t^2 h(t) over (0, t0)."""
     params = CounterexampleSpec.params
     two_alpha = 2.0 * params.alpha
     tail = _basis().q0.pieces[-1]
@@ -313,7 +278,7 @@ def _per_tol(tol: float) -> _PerTol:
     def base_integrand(t: float) -> float:
         return transition_eval(tf, t) * t * t * h(t)
 
-    return _PerTol(
+    return SimpleNamespace(
         halfline=integrate_halfline(
             lambda t: tail(t) * _log_weight(t, two_alpha), T0, tol / 2
         ),

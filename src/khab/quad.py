@@ -189,8 +189,6 @@ def integrate(
         seq += 2
         n_panels += 2
         err_sum += e1 + e2 - pe
-        if n_panels % 256 == 0:
-            err_sum = exact_err_sum()
 
     return totals()
 

@@ -94,6 +94,12 @@ class TestConstantsCommand:
         data = json.loads(out)
         assert data["c_upper"] == pytest.approx(19.65507202, abs=1e-6)
 
+    def test_n_below_one_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["constants", "--n", "0"])
+        assert excinfo.value.code == 2
+        assert "--n must be >= 1" in capsys.readouterr().err
+
     def test_residual_case_exits_zero(self, capsys):
         # once refused with a spurious decomposition residual
         code, out, _ = run(
@@ -330,6 +336,8 @@ class TestConvertCommand:
         ('{"breakpoints": [], "pieces": [[NaN]]}', "piece 0 must hold finite"),
         ('{"breakpoints": [], "pieces": [["1"]]}', "piece 0 must hold finite"),
         ('{"breakpoints": [], "pieces": [[1e400]]}', "piece 0 must hold finite"),
+        # an integer too large for a float, not a float literal that parses to inf
+        ('{"breakpoints": [], "pieces": [[1' + "0" * 400 + ']]}', "piece 0 must hold finite"),
     ])
     @pytest.mark.parametrize("direction", [["--inverse"], ["--direct", "--t", "2"]])
     def test_malformed_input_is_one_error_line(self, capsys, tmp_path, text, fault,
@@ -343,6 +351,14 @@ class TestConvertCommand:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert fault in err
+
+    @pytest.mark.parametrize("flag", [["--t", "3"], ["--format", "text"], ["--format", "json"]])
+    def test_inverse_refuses_what_it_does_not_read(self, capsys, flag):
+        # --inverse evaluates nowhere and always prints JSON
+        with pytest.raises(SystemExit) as excinfo:
+            main(["convert", "--inverse", "--input", "g.json", *flag])
+        assert excinfo.value.code == 2
+        assert f"{flag[0]} is not read by convert --inverse" in capsys.readouterr().err
 
     def test_missing_file_is_runtime_error(self, capsys):
         code, _, err = run(
@@ -359,6 +375,46 @@ class TestPlotdataCommand:
             main(["plotdata", "--kind", "R3", bound])
         assert excinfo.value.code == 2
         assert "--from and --to must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "R3", "--points", "-1"], "--points must be >= 0"),
+        (["--kind", "R3", "--from", "1", "--to", "0"], "--to must be >= --from"),
+        (["--kind", "transition", "--from", "0"], "--from must be > 0"),
+    ])
+    def test_bad_sampling_is_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["plotdata", *argv])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--kind", "R3", "--n", "9", "--alpha", "7", "--epsilon", "0.3"], "--n"),
+        (["--kind", "R3", "--alpha", "7"], "--alpha"),
+        (["--kind", "R3", "--epsilon", "0.3"], "--epsilon"),
+        (["--kind", "h", "--n", "2"], "--n"),
+        (["--kind", "g", "--alpha", "2"], "--alpha"),
+        (["--kind", "q", "--n", "3"], "--n"),
+        (["--kind", "transition", "--epsilon", "1"], "--epsilon"),
+    ])
+    def test_unread_flag_is_usage_error(self, capsys, argv, flag):
+        # --n and --alpha shape only the transition curve, --epsilon only
+        # g and q; given to another kind, even at its default, they are refused
+        with pytest.raises(SystemExit) as excinfo:
+            main(["plotdata", *argv])
+        assert excinfo.value.code == 2
+        assert f"{flag} is not read by plotdata --kind {argv[1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, flags, other", [
+        ("g", ["--epsilon", "1"], ["--epsilon", "0.5"]),
+        ("q", ["--epsilon", "1"], ["--epsilon", "0.5"]),
+        ("transition", ["--n", "2", "--alpha", "2"], ["--n", "3", "--alpha", "1"]),
+    ])
+    def test_read_flags_default_and_take_effect(self, capsys, kind, flags, other):
+        base = ["plotdata", "--kind", kind, "--points", "5"]
+        default = run(capsys, base)
+        assert default[0] == 0
+        assert run(capsys, base + flags) == default
+        assert run(capsys, base + other)[1] != default[1]
 
     def test_r3_curve(self, capsys):
         code, out, _ = run(

@@ -135,6 +135,32 @@ def test_budget_exhaustion_carries_best_estimate(monkeypatch):
     assert best.abs_error_estimate > 1e-9
 
 
+_STEP_AT = math.pi / 10
+
+
+def _step(t: float) -> float:
+    return 1.0 if t > _STEP_AT else 0.0
+
+
+def test_unsplittable_panel_above_tol_is_refused():
+    # a panel four ulps wide cannot be bisected; it freezes, and with no
+    # panel left to refine the integral is refused
+    u = math.ulp(_STEP_AT)
+    with pytest.raises(QuadratureError, match="no refinable panels left") as excinfo:
+        integrate(_step, _STEP_AT - 2 * u, _STEP_AT + 2 * u, 1e-40)
+    assert excinfo.value.best.subdivisions == 1
+
+
+def test_frozen_panels_end_in_quadrature_error():
+    # the panels at the jump freeze once they are ulps wide; the rest cannot
+    # bring the estimate under a tol below their rounding floor
+    with pytest.raises(QuadratureError) as excinfo:
+        integrate(_step, 0.0, 1.0, 1e-17)
+    best = excinfo.value.best
+    assert best.value == pytest.approx(1.0 - _STEP_AT, abs=1e-14)
+    assert best.abs_error_estimate > 1e-17
+
+
 def test_halfline_slow_decay_exhausts_budget(monkeypatch):
     # t^-1 is not integrable at infinity; must fail, not hang or lie
     monkeypatch.setattr(quad, "_MAX_PANELS", 2000)
