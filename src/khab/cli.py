@@ -16,6 +16,8 @@ JSON and reads no ``--t``.  A flag a mode never reads is a usage error
 naming it, even at its default: ``convert --inverse`` refuses ``--t`` and
 ``--format``; ``plotdata`` takes ``--n`` and ``--alpha`` only with
 ``--kind transition``, and ``--epsilon`` only with ``g`` or ``q``.
+``plotdata`` samples t > 0 for ``--kind transition`` and t >= 0 for
+``g`` and ``q``; a ``--from`` below that is a usage error.
 
 Exit codes: 0 success, 1 verification failure or a stage that cannot
 compute (also ``--n`` > 171, or a C(n, alpha) whose rounding bound exceeds
@@ -202,6 +204,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             parser.error("--to must be >= --from")
         if args.kind == "transition" and lo <= 0:
             parser.error("--from must be > 0 for kind=transition")
+        if args.kind in ("g", "q") and lo < 0:
+            parser.error(f"--from must be >= 0 for kind={args.kind}")
         args.lo, args.hi = lo, hi
 
 

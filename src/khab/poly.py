@@ -6,8 +6,8 @@ isolation reads the float coefficients exactly as integers and decides
 every sign in integer arithmetic, so the roots it certifies are those of
 the stored coefficients, on the whole half-line; only the reported root
 values are floats.  Float arithmetic only proposes the points where a
-root's bracket is split (a Newton estimate, then chords snapped to a
-grid), so a root is refined in a handful of exact evaluations.
+root's bracket is split (a Newton estimate, then bisection where that
+is too loose), so a root is refined in a handful of exact evaluations.
 """
 
 from __future__ import annotations
@@ -125,27 +125,16 @@ def _taylor_shift1(a: list[int]) -> list[int]:
     return a
 
 
-def _value_at(a: list[int], x: float) -> tuple[int, int]:
-    """Exact value of a(x) for a float x >= 0, as (v, e) with a(x) = v / 2**e:
-    x = num / 2**s, so v = 2**(s*deg) * a(x) is an integer."""
+def _value_at(a: list[int], x: float) -> int:
+    """a(x) for a float x >= 0 times a positive power of two, as an exact
+    integer: x = num / 2**s, so 2**(s*deg) * a(x) is one."""
     num, den = x.as_integer_ratio()
     s = den.bit_length() - 1
     acc, shift = 0, 0
     for c in reversed(a):
         acc = acc * num + (c << shift)
         shift += s
-    return acc, shift - s
-
-
-def _chord(v_lo: tuple[int, int], v_hi: tuple[int, int]) -> float:
-    """Where in (0, 1) the chord through two exact values of opposite signs,
-    at 0 and 1, crosses zero."""
-    (p, e), (q, f) = v_lo, v_hi
-    if e < f:
-        p <<= f - e
-    else:
-        q <<= e - f
-    return p / (p - q)
+    return acc
 
 
 def _newton(f: list[float], sign_0: int, y: float, tiny: float) -> tuple[float, float]:
@@ -183,36 +172,31 @@ def _newton(f: list[float], sign_0: int, y: float, tiny: float) -> tuple[float, 
 def _refine(a: list[int], q: list[int], lo: float, hi: float, reciprocal: bool) -> float:
     """Narrow the bracket (lo, hi) of one simple root of ``a`` in x until
     the root z (x, or 1/x if ``reciprocal``) is known to within
-    _ROOT_TOL/8 * min(1, z), or to one ulp.  ``q`` is the isolating node's
-    polynomial, a(lo + y*(hi - lo)) times a factor positive for y in
-    (0, 1); lo may itself be a root of ``a``.
+    _ROOT_TOL/4 * min(1, z), or until no float lies strictly inside it.
+    ``q`` is the isolating node's polynomial, a(lo + y*(hi - lo)) times a
+    factor positive for y in (0, 1); lo may itself be a root of ``a``.
 
-    Each point probed lies strictly inside the bracket and is proposed by an
-    estimate, but only the exact sign of ``a`` there moves an end, so the
-    bracket always holds the root and shrinks at every probe.  First a float
-    Newton estimate r, taken on q scaled by one power of two (near the root
-    q is far less ill-conditioned than ``a``), is tested by the signs at
-    r -+ h, h the larger of half the stop width and the radius float
-    rounding leaves r.  Then quadratic interval refinement (Abbott 2006)
-    takes over on exact values: the chord through the ends of the bracket
-    is snapped to a grid of N cells, the cell it points to is tested by one
-    or two signs, and N squares when that cell holds the root and falls to
-    its square root when not.
+    Every point probed lies strictly inside the bracket, and only the exact
+    sign of ``a`` there moves an end, so the bracket always holds the root
+    and shrinks at every probe.  First a float Newton estimate r, taken on
+    q scaled by one power of two (near the root q is far less
+    ill-conditioned than ``a``), is tested by the signs at r -+ h, h the
+    larger of half the stop width and the radius float rounding leaves r.
+    Where that leaves the bracket wider than the stop width, bisection on
+    exact signs finishes.
     """
     sign_lo = 1 if next(c for c in q if c) > 0 else -1
-    v_lo = v_hi = None  # exact values of a at lo and hi, once known
 
-    def probe(x: float) -> int:
-        nonlocal lo, hi, v_lo, v_hi
+    def probe(x: float) -> None:
+        nonlocal lo, hi
         v = _value_at(a, x)
-        side = ((v[0] > 0) - (v[0] < 0)) * sign_lo
+        side = ((v > 0) - (v < 0)) * sign_lo
         if side > 0:
-            lo, v_lo = x, v
+            lo = x
         elif side < 0:
-            hi, v_hi = x, v
+            hi = x
         else:  # x is the root
             lo = hi = x
-        return side
 
     w = hi - lo
     top = max(abs(c) for c in q).bit_length() - 1
@@ -227,33 +211,12 @@ def _refine(a: list[int], q: list[int], lo: float, hi: float, reciprocal: bool) 
     if lo < r + h < hi:
         probe(r + h)
 
-    cells = 4
-    while True:
-        w = hi - lo
-        # z below 1: relative width of (lo, hi); z above 1: 1/lo - 1/hi
-        fine = max(0.25 * _ROOT_TOL * lo * (hi if reciprocal else 1.0),
-                   2.0 * math.ulp(lo + 0.5 * w))
-        if w <= fine:
+    # z below 1: relative width of (lo, hi); z above 1: 1/lo - 1/hi
+    while hi - lo > 0.25 * _ROOT_TOL * lo * (hi if reciprocal else 1.0):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
             break
-        if v_lo is None:
-            v_lo = _value_at(a, lo)
-        if v_hi is None:
-            v_hi = _value_at(a, hi)
-        if not (v_lo[0] and v_hi[0]):  # an end is another root: no chord
-            probe(lo + 0.5 * w)
-            continue
-        # cells no finer than the stop width, nor than two ulps
-        n = min(cells, 1 << math.frexp(w / fine)[1])
-        step = w / n
-        i = round(_chord(v_lo, v_hi) * n)
-        if 0 < i < n:
-            x = lo + i * step
-            nb = x - step if probe(x) < 0 else x + step
-        else:
-            nb = lo + step if i == 0 else hi - step
-        if lo < nb < hi:
-            probe(nb)
-        cells = n * n if hi - lo <= 1.5 * step else max(2, math.isqrt(n))
+        probe(mid)
     z = 0.5 * (lo + hi)
     if reciprocal:
         z = 1.0 / z if z else math.inf
@@ -321,12 +284,12 @@ def positive_roots(p: Polynomial) -> list[float]:
     isolated by Descartes' rule of signs with bisection on (0, 1) and, for
     the reversed coefficients, on (1, inf); z = 1 is tested exactly.  There
     is no search window: every positive root of the exact coefficients is
-    found.  Each isolated root is refined at float points proposed by a
-    float Newton estimate and then by quadratic interval refinement, each
-    point decided by the exact sign of ``p`` there, so every root reported
-    is simple and ``p`` changes sign there.  A multiple root, or a cluster
-    of roots that bisection has not separated once its intervals are
-    1e-13 * min(1, z) wide, raises :class:`RootCertificationError`.
+    found.  Each isolated root is refined by a float Newton estimate and
+    then by bisection, each point decided by the exact sign of ``p`` there,
+    so every root reported is simple and ``p`` changes sign there.  A
+    multiple root, or a cluster of roots that bisection has not separated
+    once its intervals are 1e-13 * min(1, z) wide, raises
+    :class:`RootCertificationError`.
     """
     if p.is_zero():
         raise ValueError("positive_roots requires a nonzero polynomial")

@@ -71,7 +71,8 @@ def _check_tol(tol: float) -> None:
 
 
 class QuadratureError(RuntimeError):
-    """Subdivision budget exhausted before meeting the tolerance.
+    """Tolerance not met: the subdivision budget ran out, no panel is left
+    to refine, or a panel's value or error estimate is not finite.
 
     ``best`` carries the estimate accumulated so far.
     """
@@ -120,13 +121,21 @@ def _gk15(f: Callable[[float], float], a: float, b: float):
     return value, err
 
 
+def _not_finite(a: float, b: float, best: QuadResult) -> QuadratureError:
+    return QuadratureError(
+        f"integrand or its error estimate is not finite on panel ({a!r}, {b!r})",
+        best,
+    )
+
+
 def integrate(
     f: Callable[[float], float], a: float, b: float, tol: float
 ) -> QuadResult:
     """Integrate ``f`` over the open interval (a, b) to absolute tolerance.
 
     Raises :class:`QuadratureError` with the best estimate attached if the
-    panel budget, ``_MAX_PANELS``, runs out first.
+    panel budget, ``_MAX_PANELS``, runs out first, or if a panel's value or
+    error estimate is not finite.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integrate requires finite endpoints")
@@ -135,6 +144,8 @@ def integrate(
     _check_tol(tol)
 
     value, err = _gk15(f, a, b)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise _not_finite(a, b, QuadResult(value, err, 1))
     # heap entries: (-err, seq, a, b, value, err); seq breaks ties
     heap = [(-err, 0, a, b, value, err)]
     frozen: list[tuple[float, float, float, float]] = []  # (a, b, value, err)
@@ -179,6 +190,9 @@ def integrate(
         mid = 0.5 * (pa + pb)
         v1, e1 = _gk15(f, pa, mid)
         v2, e2 = _gk15(f, mid, pb)
+        if not all(map(math.isfinite, (v1, e1, v2, e2))):
+            frozen.append((pa, pb, pv, pe))
+            raise _not_finite(pa, pb, totals())
         # halves contradicting their parent beyond their own estimates
         short = abs(v1 + v2 - pv) - e1 - e2
         if short > 0.0:
@@ -199,7 +213,8 @@ def integrate_halfline(
     """Integrate ``f`` over (a, inf) for integrands with algebraic decay.
 
     The caller guarantees decay at least ``t**(-1-delta)`` for some
-    ``delta > 0``; slower decay shows up as budget exhaustion.  The
+    ``delta > 0``; slower decay shows up as budget exhaustion, or as a
+    refused panel once the panels reach t beyond the float range.  The
     substitution u = (t-a)/(1+t-a) maps the half-line onto the unit
     interval with Jacobian 1/(1-u)^2; it is applied in the mirrored
     coordinate v = 1-u so the tail endpoint sits at v = 0, keeping panels
@@ -212,11 +227,11 @@ def integrate_halfline(
 
     def tail_from(start: float, tail_tol: float) -> QuadResult:
         def g(v: float) -> float:
-            inv = 1.0 / v
-            if math.isinf(inv):
-                # beyond double range; an integrable tail has no mass here
-                return 0.0
-            t = start - 1.0 + inv
+            t = start - 1.0 + 1.0 / v
+            if math.isinf(t):
+                # beyond double range g cannot be represented; NaN makes
+                # integrate refuse the panel
+                return math.nan
             # divide twice: v*v can underflow where f(t)/v/v cannot
             return f(t) / v / v
 

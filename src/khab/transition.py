@@ -196,11 +196,12 @@ def sign_partition(tf: TransitionFunction) -> SignPartition:
     Boundaries are the certified positive z-roots of the numerator
     polynomial, each located by :func:`positive_roots` to within
     1e-13 * min(1, z), mapped to t: isolated by Descartes' rule of signs
-    with bisection, then refined at points that float estimates propose
-    and exact signs decide.  A multiple root, or a cluster that bisection
-    has not separated at that width, raises RootCertificationError.  Every
-    certified root is simple, so the sign starts as that of P's lowest
-    nonzero coefficient (P near z = 0+) and flips at each boundary.
+    with bisection, then refined by a float Newton estimate and bisection,
+    each point decided by an exact sign.  A multiple root, or a cluster
+    that bisection has not separated at that width, raises
+    RootCertificationError.  Every certified root is simple, so the sign
+    starts as that of P's lowest nonzero coefficient (P near z = 0+) and
+    flips at each boundary.
     """
     if tf.p_poly.is_zero():
         raise ValueError("transition numerator is identically zero")

@@ -218,6 +218,18 @@ class TestVerificationFailureExit:
         assert code == 1
         assert "quadrature failure" in err
 
+    @pytest.mark.parametrize("alpha", ["1e-5", "0.01", "0.015"])
+    def test_mass_beyond_float_range_exits_one(self, capsys, alpha):
+        # the integrand's mass lies near t = DBL_MAX and beyond, where the
+        # half-line map cannot represent it
+        code, out, err = run(
+            capsys, ["identity", "--n", "1", "--alpha", alpha, "--y", "1"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("quadrature failure: ")
+
     def test_counterexample_stage_failure_is_not_a_verdict(self, capsys):
         # the tolerance cannot be met: verify raises at the first stage that
         # fails, so no report with NaN values or a bound verdict is printed
@@ -380,6 +392,9 @@ class TestPlotdataCommand:
         (["--kind", "R3", "--points", "-1"], "--points must be >= 0"),
         (["--kind", "R3", "--from", "1", "--to", "0"], "--to must be >= --from"),
         (["--kind", "transition", "--from", "0"], "--from must be > 0"),
+        (["--kind", "g", "--epsilon", "0.5", "--from", "-1", "--to", "1"],
+         "--from must be >= 0 for kind=g"),
+        (["--kind", "q", "--from", "-1", "--to", "0"], "--from must be >= 0 for kind=q"),
     ])
     def test_bad_sampling_is_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:

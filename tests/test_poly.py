@@ -200,15 +200,15 @@ class TestPositiveRoots:
 
     @pytest.mark.parametrize("coeffs", [
         # (z - 0.5)(z - 0.625)(z - 0.75): the bracket (0.5, 0.75) of 0.625
-        # has a root at either end, so no chord runs through its ends
+        # has a root at either end
         (-0.234375, 1.15625, -1.875, 1.0),
         (-1e6, 1.0),
         build_transition(7, 20.0).p_poly.coeffs,
         build_transition(19, 10.0).p_poly.coeffs,
     ])
     def test_exact_refinement_alone(self, coeffs, monkeypatch):
-        # with no float estimate, quadratic interval refinement on exact
-        # values still places every root to the fixed accuracy
+        # with no float estimate, bisection on exact signs still places
+        # every root to the fixed accuracy
         monkeypatch.setattr(poly, "_newton", lambda f, sign_0, y, tiny: (y, math.inf))
         roots = positive_roots(Polynomial(coeffs))
         ref = positive_roots_mp(coeffs)
@@ -232,6 +232,37 @@ class TestPositiveRoots:
                     for n in range(1, 9) for alpha in (0.1, 0.5, 1.25, 3.0))
         assert roots > 0
         assert len(calls) <= 8 * roots, len(calls) / roots
+
+    @pytest.mark.parametrize("newton, ceiling", [(True, 16), (False, 72)])
+    def test_exact_evaluations_per_root_bounded(self, newton, ceiling, monkeypatch):
+        # n <= 25 x alpha log-spaced over [0.01, 100], roots from z ~ 6e-26
+        # to 2e7.  With the Newton estimate no root takes more than 11.
+        # Bisection alone halves a bracket (0, hi) log2(hi/z) times before
+        # its lower end leaves 0, then about 45 times more to 1e-13/4
+        # relative width: 68 for the root 7.25e-12 of P_19(10), isolated
+        # in (0, 2**-15).
+        value_at, refine = poly._value_at, poly._refine
+        calls, per_root = [], []
+
+        def counted(a, x):
+            calls.append(x)
+            return value_at(a, x)
+
+        def refine_counted(*args):
+            start = len(calls)
+            z = refine(*args)
+            per_root.append(len(calls) - start)
+            return z
+
+        monkeypatch.setattr(poly, "_value_at", counted)
+        monkeypatch.setattr(poly, "_refine", refine_counted)
+        if not newton:
+            monkeypatch.setattr(poly, "_newton", lambda f, sign_0, y, tiny: (y, math.inf))
+        for n in range(1, 26):
+            for k in range(9):
+                positive_roots(build_transition(n - 1, 10.0 ** (k / 2 - 2)).p_poly)
+        assert len(per_root) > 1000
+        assert max(per_root) <= ceiling, max(per_root)
 
     def test_tiny_root_to_relative_accuracy(self):
         # P_19(10, z) has its smallest root near z = 7.25e-12, far below

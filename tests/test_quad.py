@@ -168,6 +168,34 @@ def test_halfline_slow_decay_exhausts_budget(monkeypatch):
         integrate_halfline(lambda t: 1.0 / t, 1.0, 1e-9)
 
 
+def test_halfline_tail_beyond_float_range_is_refused():
+    # at the default budget the panels at v -> 0 reach v < 1/DBL_MAX, where
+    # t = 1/v overflows; the integral there cannot be represented, so it is
+    # refused instead of counted as 0
+    with pytest.raises(QuadratureError, match="not finite on panel") as excinfo:
+        integrate_halfline(lambda t: 1.0 / t, 1.0, 1e-9)
+    best = excinfo.value.best
+    assert math.isfinite(best.value) and math.isfinite(best.abs_error_estimate)
+    assert best.subdivisions < 2100
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_nonfinite_panel_is_refused(bad):
+    # the first panel samples no x below 0.004; the panels grading into
+    # x^-0.5 at 0 do, and the one whose halves see ``bad`` is named
+    def f(x):
+        return bad if x < 1e-3 else x**-0.5
+
+    with pytest.raises(QuadratureError, match=r"not finite on panel \(0\.0, ") as excinfo:
+        integrate(f, 0.0, 1.0, 1e-9)
+    best = excinfo.value.best
+    assert 1.0 < best.value < 2.0
+    assert best.subdivisions > 1
+    with pytest.raises(QuadratureError, match=r"not finite on panel \(0\.0, 1\.0\)") as excinfo:
+        integrate(lambda x: bad, 0.0, 1.0, 1e-9)
+    assert excinfo.value.best.subdivisions == 1
+
+
 def test_error_estimate_nonnegative_and_subdivisions_positive():
     for f, a, b, _ in FINITE_BATTERY:
         res = integrate(f, a, b, 1e-8)
