@@ -118,6 +118,7 @@ def compute_constants(params: Params, tol: float = 1e-9) -> ConstantsReport:
     (see the module docstring); ``tol`` is validated but has no effect, and
     root-certification failures propagate.  Every error field holds one
     rounding bound: (n+2) * eps * pi/2 times the summed |4*alpha*M[j][k]*p_k|.
+    A d, C, m_minus or bound beyond the float range raises ValueError.
     A bound above 1e-3 * C, where the rounding leaves C without a
     meaningful digit (at alpha = 3 it does at n = 60, not at n = 50), and a
     total d_0 * pi/2 off the closed form by more than the bound plus
@@ -131,7 +132,6 @@ def compute_constants(params: Params, tol: float = 1e-9) -> ConstantsReport:
         [4.0 * alpha * m * c for m, c in zip(row, tf.p_poly.coeffs)]
         for row in _cos_matrix(n)
     ]
-    d = [math.fsum(row) for row in terms]
 
     def integral(lo: float, hi: float) -> float:
         theta_lo, theta_hi = math.atan(lo**alpha), math.atan(hi**alpha)
@@ -141,10 +141,17 @@ def compute_constants(params: Params, tol: float = 1e-9) -> ConstantsReport:
         )
 
     intervals = part.intervals()
-    c_upper = math.fsum(integral(lo, hi) for lo, hi, s in intervals if s > 0)
-    m_minus = math.fsum(integral(lo, hi) for lo, hi, s in intervals if s < 0)
-    magnitude = math.fsum(abs(x) for row in terms for x in row)
+    overflow = f"C({n}, alpha={alpha!r}) overflows a float"
+    try:  # fsum refuses a sum past the float range, or of opposite infinities
+        d = [math.fsum(row) for row in terms]
+        c_upper = math.fsum(integral(lo, hi) for lo, hi, s in intervals if s > 0)
+        m_minus = math.fsum(integral(lo, hi) for lo, hi, s in intervals if s < 0)
+        magnitude = math.fsum(abs(x) for row in terms for x in row)
+    except (OverflowError, ValueError):
+        raise ValueError(overflow) from None
     bound = (n + 2) * math.ulp(1.0) * 0.5 * math.pi * magnitude
+    if not all(map(math.isfinite, (*d, c_upper, m_minus, bound))):
+        raise ValueError(overflow)
     if not bound <= _MAX_REL_BOUND * c_upper:
         raise ConstantsError(
             f"C({n}, {alpha!r}) = {c_upper:.3e} has a rounding bound of "

@@ -22,10 +22,10 @@ t-interval between q's breakpoints,
 with c the piece of q on the interval, mu_j the moments of A_{n-1} over
 (0, 1), and A, B, D_k summing the elementary antiderivatives of the pieces
 at the breakpoints below the interval.  The table of these numbers is
-built once per (q, n) and cached, so a point costs one log and
-O(deg + n) flops.  The closed form shares no step with the inverse
-conversion, so it can check the q that one returns; quadrature is its
-oracle.
+built on the first point of each n and kept on q itself, so a point
+costs one log and O(deg + n) flops.  The closed form shares no step with
+the inverse conversion, so it can check the q that one returns;
+quadrature is its oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Callable
-from functools import lru_cache
 
 from ._value import Value
 from .kernel import kernel_eval
@@ -62,9 +61,14 @@ class PiecewisePolynomial(Value):
     ``pieces[i]`` applies on the interval ending at ``breakpoints[i]``; the
     last piece extends to infinity.  A breakpoint itself belongs to the
     piece on its right.
+
+    ``_tables`` maps n to the closed-form table of
+    :func:`exact_direct_convert`, filled on first use.  It is a cache, not
+    a field: equality, hashing, repr and pickling ignore it, and a copy
+    starts with it empty.
     """
 
-    __slots__ = ("breakpoints", "pieces", "_hash")
+    __slots__ = ("breakpoints", "pieces", "_tables")
     _fields = ("breakpoints", "pieces")
 
     def __init__(
@@ -86,12 +90,7 @@ class PiecewisePolynomial(Value):
                 raise ValueError(f"piece {i} must hold finite coefficients")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "pieces", pieces)
-        # q keys the cached table of :func:`exact_direct_convert`, looked up
-        # at every point, so its hash is taken once
-        object.__setattr__(self, "_hash", hash((bps, pieces)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        object.__setattr__(self, "_tables", {})
 
     def piece_index(self, t: float) -> int:
         return bisect_right(self.breakpoints, t)
@@ -195,10 +194,13 @@ def inverse_convert(g: PiecewisePolynomial, n: int) -> PiecewisePolynomial:
 
     ``g`` must be (n+1)-times differentiable across its breakpoints; a
     violated gluing condition raises :class:`SmoothnessError` naming the
-    breakpoint and derivative order.
+    breakpoint and derivative order.  (n-1)! leaves the float range past
+    n = 171, so a larger n raises ValueError.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
+    if n > 171:
+        raise ValueError(f"inverse_convert requires n <= 171, got {n}")
     g.check_smoothness(n + 1)
     scale = 1.0 / math.factorial(n - 1)
     pieces = []
@@ -210,7 +212,6 @@ def inverse_convert(g: PiecewisePolynomial, n: int) -> PiecewisePolynomial:
     return PiecewisePolynomial(g.breakpoints, tuple(pieces))
 
 
-@lru_cache(maxsize=16)
 def _direct_table(
     q: PiecewisePolynomial, n: int
 ) -> tuple[tuple[tuple[float, ...], float, float, tuple[float, ...]], ...]:
@@ -222,7 +223,8 @@ def _direct_table(
     A, B and D_k sum, over each breakpoint below the interval, the
     antiderivative in y of p(y) A_m(y/t) at the breakpoint, p the piece on
     its left minus the piece on its right.  Their weights C(m,k) (-1)^k / k
-    alternate, so the D_k cancel and an n above 25 raises ValueError.
+    alternate, so the D_k cancel and an n above 25 raises ValueError, as
+    does an entry beyond the float range.
     """
     if not isinstance(n, int) or not 1 <= n <= 25:
         raise ValueError(f"the closed-form direct conversion requires an "
@@ -233,32 +235,42 @@ def _direct_table(
     a_terms: list[float] = []
     b_terms: list[float] = []
     d_terms: list[list[float]] = [[] for _ in gammas]
+    overflow = f"the closed-form table of q at n = {n} overflows a float"
     rows = []
-    for i, piece in enumerate(q.pieces):
-        if i:
-            b = q.breakpoints[i - 1]
-            log_b = math.log(b)
-            for j, c in enumerate((q.pieces[i - 1] - piece).coeffs):
-                area = c * b ** (j + 1) / (j + 1)
-                b_terms.append(area)
-                a_terms.append(area * (big_gamma - log_b + 1.0 / (j + 1)))
-                for k, (gamma, terms) in enumerate(zip(gammas, d_terms), 1):
-                    terms.append(gamma * c * b ** (j + k + 1) / (j + k + 1))
-        e = tuple(
-            c / ((j + 1) * (j + m + 1) * math.comb(j + m, m))
-            for j, c in enumerate(piece.coeffs)
-        )
-        d = tuple(math.fsum(terms) for terms in d_terms) if i else ()
-        rows.append((e, math.fsum(a_terms), math.fsum(b_terms), d))
+    try:
+        for i, piece in enumerate(q.pieces):
+            if i:
+                b = q.breakpoints[i - 1]
+                log_b = math.log(b)
+                for j, c in enumerate((q.pieces[i - 1] - piece).coeffs):
+                    area = c * b ** (j + 1) / (j + 1)
+                    b_terms.append(area)
+                    a_terms.append(area * (big_gamma - log_b + 1.0 / (j + 1)))
+                    for k, (gamma, terms) in enumerate(zip(gammas, d_terms), 1):
+                        terms.append(gamma * c * b ** (j + k + 1) / (j + k + 1))
+            e = tuple(
+                c / ((j + 1) * (j + m + 1) * math.comb(j + m, m))
+                for j, c in enumerate(piece.coeffs)
+            )
+            d = tuple(math.fsum(terms) for terms in d_terms) if i else ()
+            rows.append((e, math.fsum(a_terms), math.fsum(b_terms), d))
+    except (OverflowError, ValueError):  # b ** k, or a sum of infinities
+        raise ValueError(overflow) from None
+    if not all(math.isfinite(x) for e, a, b, d in rows for x in (*e, a, b, *d)):
+        raise ValueError(overflow)
     return tuple(rows)
 
 
 def exact_direct_convert(q: PiecewisePolynomial, n: int, t: float) -> float:
     """Closed-form direct conversion of a piecewise-polynomial q at a finite
-    t > 0 and n <= 25, read from the cached table of (q, n)."""
+    t > 0 and n <= 25, read from q's own table for n, which the first call
+    at that n builds.  A G(t) beyond the float range raises ValueError."""
     if not (math.isfinite(t) and t > 0):
         raise ValueError("exact_direct_convert requires finite t > 0")
-    e, a, b, d = _direct_table(q, n)[bisect_right(q.breakpoints, t)]
+    table = q._tables.get(n)
+    if table is None:
+        table = q._tables[n] = _direct_table(q, n)
+    e, a, b, d = table[bisect_right(q.breakpoints, t)]
     poly = 0.0
     for c in reversed(e):
         poly = poly * t + c
@@ -266,4 +278,7 @@ def exact_direct_convert(q: PiecewisePolynomial, n: int, t: float) -> float:
     inv = 1.0 / t
     for dk in reversed(d):
         tail = (tail + dk) * inv
-    return poly * t + a + b * math.log(t) - tail
+    g = poly * t + a + b * math.log(t) - tail
+    if not math.isfinite(g):
+        raise ValueError(f"G(t = {t!r}) of q at n = {n} is not a finite float")
+    return g

@@ -278,7 +278,7 @@ def _unit_roots(a: list[int], reciprocal: bool) -> list[float]:
 
 def positive_roots(p: Polynomial) -> list[float]:
     """All roots of ``p`` in (0, inf), sorted, each located to within
-    1e-13 * min(1, z), or to one ulp where that is coarser.
+    1e-13 * min(1, z), or to two ulps where that is coarser, for z > 1.
 
     The float coefficients are read exactly as integers, and the roots are
     isolated by Descartes' rule of signs with bisection on (0, 1) and, for

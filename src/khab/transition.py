@@ -195,9 +195,10 @@ def sign_partition(tf: TransitionFunction) -> SignPartition:
 
     Boundaries are the certified positive z-roots of the numerator
     polynomial, each located by :func:`positive_roots` to within
-    1e-13 * min(1, z), mapped to t: isolated by Descartes' rule of signs
-    with bisection, then refined by a float Newton estimate and bisection,
-    each point decided by an exact sign.  A multiple root, or a cluster
+    1e-13 * min(1, z), or two ulps where that is coarser, for z > 1, mapped
+    to t: isolated by Descartes' rule of signs with bisection, then refined
+    by a float Newton estimate and bisection, each point decided by an
+    exact sign.  A multiple root, or a cluster
     that bisection has not separated at that width, raises
     RootCertificationError.  Every certified root is simple, so the sign
     starts as that of P's lowest nonzero coefficient (P near z = 0+) and

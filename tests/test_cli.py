@@ -119,6 +119,13 @@ class TestOutOfRange:
         ["constants", "--n", "3", "--alpha", "1e300"],
         ["transition", "--n", "3", "--alpha", "1e300", "--format", "json"],
         ["constants", "--n", "60", "--alpha", "3"],
+        # C overflows a float: once an OverflowError traceback from fsum,
+        # "-inf + inf in fsum", or "C(1, 1e+308) = nan"
+        ["constants", "--n", "2", "--alpha", "6e153"],
+        ["constants", "--n", "2", "--alpha", "1e154"],
+        ["constants", "--n", "2", "--alpha", "2e154"],
+        ["constants", "--n", "2", "--alpha", "1e300"],
+        ["constants", "--n", "1", "--alpha", "1e308"],
     ])
     def test_exits_one_without_traceback(self, argv):
         done = subprocess.run([sys.executable, "-m", "khab.cli", *argv],
@@ -126,6 +133,7 @@ class TestOutOfRange:
                               timeout=5)
         assert done.returncode == 1
         assert done.stderr.startswith("error:")
+        assert len(done.stderr.splitlines()) == 1
         assert "Traceback" not in done.stderr
         assert done.stdout == ""
 
@@ -148,6 +156,26 @@ class TestOutOfRange:
         assert done.stderr.startswith("error:")
         assert message in done.stderr and "Traceback" not in done.stderr
         assert len(done.stderr.splitlines()) == 1 and done.stdout == ""
+
+    @pytest.mark.parametrize("q, argv, message", [
+        # once an OverflowError traceback from b ** (j + k + 1)
+        ({"breakpoints": [1e300], "pieces": [[0, 1], [1e300, 1e300]]},
+         ["--n", "3", "--t", "1e308"], "overflows a float"),
+        # once g(1000) = inf with exit 0; the true value is about 6e327
+        ({"breakpoints": [], "pieces": [[0] * 10 + [1e300]]},
+         ["--n", "5", "--t", "1000"], "not a finite float"),
+    ])
+    def test_convert_direct_beyond_float_range(self, tmp_path, q, argv, message):
+        q_file = tmp_path / "q.json"
+        q_file.write_text(json.dumps(q))
+        done = subprocess.run(
+            [sys.executable, "-m", "khab.cli", "convert", "--direct", *argv,
+             "--input", str(q_file)],
+            env=child_env(), capture_output=True, text=True, timeout=5,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("error:") and message in line
 
     def test_help_states_n_range(self, capsys):
         with pytest.raises(SystemExit):

@@ -85,6 +85,15 @@ class TestComputeConstants:
         with pytest.raises(ValueError):
             compute_constants(Params(2, 2.0), 0.0)
 
+    @pytest.mark.parametrize("n, alpha", [
+        (2, 6e153), (2, 1e154), (2, 2e154), (2, 1e300), (1, 1e308),
+    ])
+    def test_beyond_float_range_is_refused(self, n, alpha):
+        # these once raised OverflowError from fsum, "-inf + inf in fsum",
+        # or a ConstantsError over C = nan
+        with pytest.raises(ValueError, match=rf"C\({n}, alpha=.*\) overflows a float"):
+            compute_constants(Params(n, alpha))
+
     def test_report_serialization(self):
         data = compute_constants(Params(2, 2.0), 1e-8).to_dict()
         assert data["params"] == {"n": 2, "alpha": 2.0}

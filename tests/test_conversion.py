@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import pytest
 import sympy
@@ -215,6 +217,15 @@ class TestInverseConvert:
         for a, b in zip(got.pieces[0].coeffs, want):
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
+    def test_order_beyond_factorial_range(self):
+        # (n-1)! leaves the float range at n = 172, once an OverflowError
+        g = global_poly(T_SQ)
+        with pytest.raises(ValueError, match="n <= 171"):
+            inverse_convert(g, 172)
+        # t^2 gives 2 * 172!/170! t
+        q = inverse_convert(g, 171)
+        assert q.pieces[0].coeffs == pytest.approx((0.0, 2 * 172 * 171))
+
     def test_linearity(self):
         g1 = PiecewisePolynomial((1.0,), (T_SQ, T_SQ))
         cubic = Polynomial((0.0, 0.0, 0.0, 1.0))
@@ -303,9 +314,57 @@ class TestExactDirect:
         ts = [*PREMISE_GRID, *q1.breakpoints]
         first = [exact_direct_convert(q1, 2, t).hex() for t in ts]
         assert [exact_direct_convert(q2, 2, t).hex() for t in ts] == first
-        # a table rebuilt from the other object gives the same bits
-        _direct_table.cache_clear()
-        assert [exact_direct_convert(q2, 2, t).hex() for t in ts] == first
+
+    def test_table_built_once_per_q_object_and_n(self, monkeypatch):
+        # q keeps its own table per n: however many points read it, each
+        # (q object, n) builds one, and an equal q builds its own
+        import khab.conversion as conversion
+
+        built = []
+
+        def counting(q, n):
+            built.append((id(q), n))
+            return _direct_table(q, n)
+
+        monkeypatch.setattr(conversion, "_direct_table", counting)
+        q1 = build_q(CounterexampleSpec(0.3))
+        q2 = build_q(CounterexampleSpec(0.3))
+        for t in [*PREMISE_GRID, *q1.breakpoints]:
+            for q in (q1, q2):
+                for n in (2, 3):
+                    exact_direct_convert(q, n, t)
+        assert built == [(id(q1), 2), (id(q1), 3), (id(q2), 2), (id(q2), 3)]
+        assert q1._tables.keys() == q2._tables.keys() == {2, 3}
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda q: pickle.loads(pickle.dumps(q))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_clone_starts_with_no_table(self, clone):
+        # the tables are a cache, not a field: a clone compares, hashes and
+        # prints as q does, starts with none and builds the same bits
+        q = build_q(CounterexampleSpec(0.3))
+        ts = [*PREMISE_GRID, *q.breakpoints]
+        first = [exact_direct_convert(q, 2, t).hex() for t in ts]
+        twin = clone(q)
+        assert twin == q and hash(twin) == hash(q) and repr(twin) == repr(q)
+        assert twin._tables == {} and q._tables.keys() == {2}
+        assert [exact_direct_convert(twin, 2, t).hex() for t in ts] == first
+
+    def test_table_beyond_float_range_is_refused(self):
+        # b^(j+k+1) = 1e900 at the breakpoint 1e300 once raised OverflowError
+        q = PiecewisePolynomial((1e300,), ((0.0, 1.0), (1e300, 1e300)))
+        with pytest.raises(ValueError, match="n = 3 overflows a float"):
+            exact_direct_convert(q, 3, 1e308)
+        assert q._tables == {}
+
+    def test_value_beyond_float_range_is_refused(self):
+        # mu_10 * 1e300 * 1000^11 is about 6e327; it once came back as inf
+        q = global_poly(Polynomial((0.0,) * 10 + (1e300,)))
+        with pytest.raises(ValueError, match="not a finite float"):
+            exact_direct_convert(q, 5, 1000.0)
+        assert math.isfinite(exact_direct_convert(q, 5, 1.0))
 
 
 @st.composite

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -183,6 +184,30 @@ class TestPositiveRoots:
         assert len(roots) == len(ref) > 0
         for r, x in zip(roots, ref):
             assert abs(r - x) <= 1e-13 * min(1.0, x) + math.ulp(x), (r, x)
+
+    @pytest.mark.parametrize("order, alpha, zs", [
+        (20, 10.0, [59530.94922797774]),
+        (69, 3.0, [1661.9765714880093]),
+        (159, 3.0, [32639.737821235587, 65481279.01164932]),
+    ])
+    def test_root_above_one_within_two_ulps(self, order, alpha, zs):
+        # above 1 a root is refined in x = 1/z, whose bracket ends at
+        # adjacent floats, so z = 1/x can land beyond one ulp of the exact
+        # root of the float coefficients (these at 1.5-1.8 ulps, by mpmath);
+        # exact signs of p two ulps either side of z bracket that root
+        p = build_transition(order, alpha).p_poly
+        roots = positive_roots(p)
+
+        def sign(x: Fraction) -> int:
+            value = Fraction(0)
+            for c in reversed(p.coeffs):
+                value = value * x + Fraction(c)
+            return (value > 0) - (value < 0)
+
+        for z in zs:
+            assert z in roots
+            two = 2 * Fraction(math.ulp(z))
+            assert sign(Fraction(z) - two) * sign(Fraction(z) + two) < 0, z
 
     @pytest.mark.parametrize("coeffs, want", [
         # (z - 0.5)(z - 0.625): isolation on (0, 1) splits at the root 0.5,
