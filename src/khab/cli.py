@@ -359,6 +359,9 @@ def _cmd_plotdata(args) -> int:
         return 0
     for i in range(n):
         x = lo if n == 1 else lo + (hi - lo) * i / (n - 1)
+        if not lo <= x <= hi:  # hi - lo beyond the float range, or rounding past hi
+            s = i / (n - 1)
+            x = min(max(lo * (1.0 - s) + hi * s, lo), hi)
         print(f"{x!r},{f(x)!r}")
     return 0
 

@@ -10,22 +10,23 @@ piece of (0, t) in y = u^2, which tames that singularity, and every piece
 of a piecewise-polynomial q against that piece's own polynomial.  The
 inverse conversion
 
-    q(t) = d^n/dt^n [ t^n g'(t) / (n-1)! ]
+    q(t) = d^n/dt^n [ t^n g'(t) ] / (n-1)!
 
-is restricted to piecewise polynomials so the n-fold differentiation is
-exact; numeric differentiation at order n+1 would be untrustworthy.  For
-piecewise-polynomial q the direct conversion has a closed form.  On each
-t-interval between q's breakpoints,
+is restricted to piecewise polynomials.  On monomials the two are one map
+and its inverse: with the integer weight w(n, j) = (j+1) (j+n)! / (j! (n-1)!)
+the direct conversion takes t^j to t^(j+1) / w, and the inverse takes
+t^(j+1) to w t^j, one rounded product per coefficient of q, within one ulp
+of exact while w <= 2^53.  For piecewise-polynomial q the direct conversion
+has a closed form.  On each t-interval between q's breakpoints,
 
-    G(t) = sum_j mu_j c_j t^(j+1) + A + B ln t - sum_{k=1..n-1} D_k t^(-k),
+    G(t) = sum_j c_j t^(j+1) / w(n, j) + A + B ln t - sum_{k=1..n-1} D_k t^(-k),
 
-with c the piece of q on the interval, mu_j the moments of A_{n-1} over
-(0, 1), and A, B, D_k summing the elementary antiderivatives of the pieces
-at the breakpoints below the interval.  The table of these numbers is
-built on the first point of each n and kept on q itself, so a point
-costs one log and O(deg + n) flops.  The closed form shares no step with
-the inverse conversion, so it can check the q that one returns;
-quadrature is its oracle.
+with c the piece of q on the interval, and A, B, D_k summing the elementary
+antiderivatives of the pieces at the breakpoints below the interval.  The
+table of these numbers is built on the first point of each n and kept on q
+itself, so a point costs one log and O(deg + n) flops.  The closed form
+shares only w with the inverse conversion, so it checks the rest of the q
+that one returns; quadrature is the oracle of both.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from ._value import Value
 from .kernel import kernel_eval
 from .poly import Polynomial
 from .quad import integrate
-from .transition import Params
+from .transition import MAX_ORDER, Params
 
 _SMOOTH_RTOL = 1e-9  # relative tolerance of the gluing conditions
 
@@ -189,27 +190,33 @@ def direct_convert(
     return math.fsum(parts)
 
 
+def _weight(n: int, j: int) -> int:
+    """w(n, j) = (j+1) (j+n)! / (j! (n-1)!) as an exact integer."""
+    return (j + 1) * (j + n) * math.comb(j + n - 1, n - 1)
+
+
 def inverse_convert(g: PiecewisePolynomial, n: int) -> PiecewisePolynomial:
-    """q(t) = d^n/dt^n [ t^n g'(t) / (n-1)! ], exactly per piece.
+    """q(t) = d^n/dt^n [ t^n g'(t) ] / (n-1)!, per piece q_j = g_(j+1) w(n, j).
 
     ``g`` must be (n+1)-times differentiable across its breakpoints; a
     violated gluing condition raises :class:`SmoothnessError` naming the
-    breakpoint and derivative order.  (n-1)! leaves the float range past
-    n = 171, so a larger n raises ValueError.
+    breakpoint and derivative order.  Each q_j is one rounded product,
+    within one ulp of exact while w <= 2^53.  An n above MAX_ORDER + 1 = 171,
+    or a w or q_j beyond the float range, raises ValueError.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
-    if n > 171:
-        raise ValueError(f"inverse_convert requires n <= 171, got {n}")
+    if n > MAX_ORDER + 1:
+        raise ValueError(f"inverse_convert requires n <= {MAX_ORDER + 1}, got {n}")
     g.check_smoothness(n + 1)
-    scale = 1.0 / math.factorial(n - 1)
-    pieces = []
-    for p in g.pieces:
-        work = (scale * p.derivative()).shift_up(n)
-        for _ in range(n):
-            work = work.derivative()
-        pieces.append(work)
-    return PiecewisePolynomial(g.breakpoints, tuple(pieces))
+    try:  # a w beyond the float range, or a non-finite q_j
+        return PiecewisePolynomial(g.breakpoints, tuple(
+            Polynomial(tuple(c * _weight(n, j) for j, c in enumerate(p.coeffs[1:])))
+            for p in g.pieces
+        ))
+    except (OverflowError, ValueError):
+        raise ValueError(f"the inverse conversion of g at n = {n} "
+                         "overflows a float") from None
 
 
 def _direct_table(
@@ -218,8 +225,8 @@ def _direct_table(
     """Per t-interval of q, (e, A, B, D) with G(t) = t * sum_j e_j t^j
     + A + B ln t - sum_k D_k t^(-k).
 
-    e_j = mu_j c_j for the piece on the interval, where mu_j, the integral
-    of x^j A_m(x) over (0, 1), is j! m! / ((j+1) (j+m+1)!) with m = n-1.
+    e_j = c_j / w(n, j) for the piece on the interval, 1 / w(n, j) being
+    the integral of x^j A_{n-1}(x) over (0, 1).
     A, B and D_k sum, over each breakpoint below the interval, the
     antiderivative in y of p(y) A_m(y/t) at the breakpoint, p the piece on
     its left minus the piece on its right.  Their weights C(m,k) (-1)^k / k
@@ -248,10 +255,7 @@ def _direct_table(
                     a_terms.append(area * (big_gamma - log_b + 1.0 / (j + 1)))
                     for k, (gamma, terms) in enumerate(zip(gammas, d_terms), 1):
                         terms.append(gamma * c * b ** (j + k + 1) / (j + k + 1))
-            e = tuple(
-                c / ((j + 1) * (j + m + 1) * math.comb(j + m, m))
-                for j, c in enumerate(piece.coeffs)
-            )
+            e = tuple(c / _weight(n, j) for j, c in enumerate(piece.coeffs))
             d = tuple(math.fsum(terms) for terms in d_terms) if i else ()
             rows.append((e, math.fsum(a_terms), math.fsum(b_terms), d))
     except (OverflowError, ValueError):  # b ** k, or a sum of infinities

@@ -19,10 +19,8 @@ def kernel_eval(n: int, x: float) -> float:
     """A_n(x) for an order n >= 0 and 0 < x <= 1."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("kernel order n must be a nonnegative integer")
-    if x <= 0.0:
-        raise ValueError("kernel_eval requires x > 0 (log divergence at 0)")
-    if x > 1.0:
-        raise ValueError("kernel_eval requires x <= 1")
+    if not 0.0 < x <= 1.0:  # NaN too, which would never end the tail loop
+        raise ValueError(f"kernel_eval requires 0 < x <= 1, got {x!r}")
     u = 1.0 - x
     power = 1.0
     total = 0.0

@@ -88,12 +88,6 @@ class Polynomial(Value):
 
     __rmul__ = __mul__
 
-    def shift_up(self, k: int) -> "Polynomial":
-        """Multiply by ``x**k``."""
-        if self.is_zero():
-            return self
-        return Polynomial((0.0,) * k + self.coeffs)
-
 
 # --- positive-root isolation -------------------------------------------------
 #

@@ -487,6 +487,19 @@ class TestPlotdataCommand:
         lo, hi = crossings[0]
         assert lo <= T0 <= hi
 
+    @pytest.mark.parametrize("kind, lo, hi", [
+        ("h", "0", "1.5e308"),
+        ("R3", "-1.7e308", "1.7976931348623157e308"),
+    ])
+    def test_samples_stay_in_range_when_width_overflows(self, capsys, kind, lo, hi):
+        # --to minus --from is beyond the float range; once inf and nan x
+        code, out, _ = run(capsys, ["plotdata", "--kind", kind, f"--from={lo}",
+                                    f"--to={hi}", "--points", "4"])
+        xs = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
+        assert code == 0
+        assert xs[0] == float(lo) and xs[-1] == float(hi)
+        assert xs == sorted(xs) and len(set(xs)) == 4
+
     def test_zero_points_is_header_only(self, capsys):
         code, out, _ = run(
             capsys,

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pickle
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -218,13 +219,44 @@ class TestInverseConvert:
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
     def test_order_beyond_factorial_range(self):
-        # (n-1)! leaves the float range at n = 172, once an OverflowError
+        # the documented range ends at n = 171
         g = global_poly(T_SQ)
         with pytest.raises(ValueError, match="n <= 171"):
             inverse_convert(g, 172)
         # t^2 gives 2 * 172!/170! t
         q = inverse_convert(g, 171)
-        assert q.pieces[0].coeffs == pytest.approx((0.0, 2 * 172 * 171))
+        assert q.pieces[0].coeffs == (0.0, 2 * 172 * 171)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 25, 60, 100, 171])
+    def test_matches_exact_rationals(self, n):
+        # q_j = (j+1) (j+n)! / (j! (n-1)!) g_(j+1), against Fraction arithmetic.
+        # The top coefficient is `scale` itself, so 3e-15 t^2 at n = 171
+        # (q_1 = 1.76472e-10), 1e-250 t^2 at n = 60 (7.32e-247) and 1e-300
+        # t^300 at n = 171 (1.2896149877229879e-163) are among the cases.
+        tiny = 2.2250738585072014e-308
+        for scale in (1.0, 3e-15, 1e-100, 1e-250, 1e-300):
+            for degree in (1, 2, 3, 10, 40, 300):
+                coeffs = [scale * (1.0 + k / 7.0) for k in range(degree)] + [scale]
+                q = inverse_convert(global_poly(Polynomial(coeffs)), n)
+                assert len(q.pieces[0].coeffs) == degree
+                for j, got in enumerate(q.pieces[0].coeffs):
+                    w = math.factorial(j + n) * (j + 1) // (
+                        math.factorial(j) * math.factorial(n - 1))
+                    exact = Fraction(coeffs[j + 1]) * w
+                    if exact < tiny:
+                        continue
+                    ulps = abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact)))
+                    assert ulps <= (1 if w <= 2**53 else 2), (scale, degree, j, ulps)
+
+    def test_weight_beyond_float_range_is_refused(self):
+        # w(171, 3999) > 1.8e308: once an OverflowError traceback
+        g = global_poly(Polynomial((0.0,) * 4000 + (1.0,)))
+        with pytest.raises(ValueError, match="overflows a float"):
+            inverse_convert(g, 171)
+        # a finite w whose product with g's coefficient is not
+        g = global_poly(Polynomial((0.0,) * 50 + (1e300,)))
+        with pytest.raises(ValueError, match="overflows a float"):
+            inverse_convert(g, 100)
 
     def test_linearity(self):
         g1 = PiecewisePolynomial((1.0,), (T_SQ, T_SQ))
@@ -279,6 +311,18 @@ class TestRoundTrip:
         t = 10.0 ** (-3.0 + 6.0 * 195 / 199.0)
         [(_, quad, exact)] = self.both_routes(q, [t], 1e-9 * t**2)
         assert abs(quad - exact) <= 1e-6
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 25])
+    @pytest.mark.parametrize("degree", [1, 2, 5, 20])
+    @pytest.mark.parametrize("c", [1.0, 0.1, 3e-15, 1e-300])
+    def test_monomial_comes_back_through_direct(self, n, degree, c):
+        # G(t) = (c w / w) t^degree: at t a power of two the closed form
+        # scales exactly, so only the two roundings of c w / w remain
+        g = global_poly(Polynomial((0.0,) * degree + (c,)))
+        q = inverse_convert(g, n)
+        for t in (0.5, 1.0, 2.0):
+            want = g(t)
+            assert abs(exact_direct_convert(q, n, t) - want) <= math.ulp(want)
 
     def test_direct_of_inverse_reproduces_profile_family(self):
         for eps in (0.3, 1.0):

@@ -26,6 +26,12 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             kernel_eval(1, 1.5)
 
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_nan_is_refused(self, n):
+        # NaN fails both x <= 0 and x > 1; let through, it never ends the tail sum
+        with pytest.raises(ValueError, match="0 < x <= 1"):
+            kernel_eval(n, math.nan)
+
     def test_bad_order(self):
         for n in (-1, 1.5, 2.0):
             with pytest.raises(ValueError, match="kernel order n must be a nonnegative"):

@@ -370,4 +370,3 @@ def test_arithmetic_identities():
     assert (p - q)(x) == pytest.approx(p(x) - q(x))
     assert (p * q)(x) == pytest.approx(p(x) * q(x))
     assert (2.5 * p)(x) == pytest.approx(2.5 * p(x))
-    assert p.shift_up(2)(x) == pytest.approx(x * x * p(x))
