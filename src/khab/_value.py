@@ -1,8 +1,9 @@
 """Base of khab's immutable value classes.
 
-A subclass names its fields in ``_fields``, holds them in ``__slots__`` and
-sets each once, in ``__init__``, through ``object.__setattr__``.  The base
-compares, hashes and prints an instance over those fields as a frozen
+A subclass names its fields in ``_fields`` and holds them in ``__slots__``.
+The base ``__init__`` binds arguments to them as a written signature would
+and sets each once; a subclass that validates calls it once they pass.  The
+base compares, hashes and prints an instance over those fields as a frozen
 dataclass does: only instances of one class compare equal, ``repr`` reads
 ``Params(n=2, alpha=2.0)``, and setting or deleting an attribute raises
 AttributeError.  Plain classes, not dataclasses, because building a
@@ -16,6 +17,16 @@ from __future__ import annotations
 class Value:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self._fields
+        values = dict(zip(names, args), **kwargs)
+        # a missing or unknown name, or one bound twice or to no name
+        if values.keys() != set(names) or len(values) != len(args) + len(kwargs):
+            raise TypeError(f"{type(self).__qualname__}() takes {names} once each, "
+                            f"got {len(args)} positional, keywords {sorted(kwargs)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

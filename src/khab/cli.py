@@ -26,7 +26,7 @@ standard output closes it early, as ``| head`` does, with nothing on
 standard error.  ``--alpha``, ``--tol``, ``--t`` and
 ``--y`` must be finite and > 0, and ``plotdata --from/--to`` finite.  Numeric text
 output prints 10 significant digits; JSON floats round-trip bit-exactly, and JSON
-output never holds NaN or infinity.
+output and plotdata's CSV never hold NaN or infinity: such a value exits 1.
 The quadrature tolerance ``--tol``, 1e-9 by default, is read by
 ``counterexample``, ``report`` and ``identity``; ``convert`` accepts it
 unread, and the closed-form ``transition``, ``constants`` and ``plotdata``
@@ -362,7 +362,10 @@ def _cmd_plotdata(args) -> int:
         if not lo <= x <= hi:  # hi - lo beyond the float range, or rounding past hi
             s = i / (n - 1)
             x = min(max(lo * (1.0 - s) + hi * s, lo), hi)
-        print(f"{x!r},{f(x)!r}")
+        y = f(x)
+        if not math.isfinite(y):
+            raise ValueError(f"{kind}({x!r}) is not a finite float")
+        print(f"{x!r},{y!r}")
     return 0
 
 

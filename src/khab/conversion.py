@@ -89,8 +89,7 @@ class PiecewisePolynomial(Value):
         for i, p in enumerate(pieces):
             if not all(map(math.isfinite, p.coeffs)):
                 raise ValueError(f"piece {i} must hold finite coefficients")
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "pieces", pieces)
+        super().__init__(bps, pieces)
         object.__setattr__(self, "_tables", {})
 
     def piece_index(self, t: float) -> int:
@@ -100,14 +99,22 @@ class PiecewisePolynomial(Value):
         return self.pieces[self.piece_index(t)](t)
 
     def check_smoothness(self, k: int) -> None:
-        """Require value and derivatives 1..k to match at every breakpoint,
-        each within _SMOOTH_RTOL * max(1, |left|, |right|)."""
+        """Require value and derivatives 1..k to match at every breakpoint b,
+        within _SMOOTH_RTOL of the larger side or else of sum_j |c_j| b^j
+        over both pieces; NaN fails, and an overflow raises ValueError."""
         left = list(self.pieces)
         for order in range(k + 1):
             for i, b in enumerate(self.breakpoints):
                 lo, hi = left[i](b), left[i + 1](b)
-                if abs(lo - hi) > _SMOOTH_RTOL * max(1.0, abs(lo), abs(hi)):
-                    raise SmoothnessError(b, order, lo, hi)
+                diff = abs(lo - hi)
+                if not diff <= _SMOOTH_RTOL * max(abs(lo), abs(hi)):
+                    scale = sum(Polynomial(tuple(map(abs, p.coeffs)))(b)
+                                for p in left[i : i + 2])
+                    if not math.isfinite(diff + scale):
+                        raise ValueError(f"derivative of order {order} at breakpoint "
+                                         f"{b!r} overflows a float")
+                    if not diff <= _SMOOTH_RTOL * scale:
+                        raise SmoothnessError(b, order, lo, hi)
             left = [p.derivative() for p in left]
 
     def to_dict(self) -> dict:

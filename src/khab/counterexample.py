@@ -22,14 +22,10 @@ so every eps in (0, 1] violates the conjectured bound while staying below
 the computed correction constant C(2, 2).
 
 The pair (n, alpha) = (2, 2) and t0 are fixed; eps is the only input.
-The family is affine in eps and both conversions are linear, so what does
-not depend on eps sits in two caches, filled once per process: the basis
-q_0, q_Delta with q_eps = q_0 + eps * q_Delta, with G_0 and G_Delta with
-G(q_eps) = G_0 + eps * G_Delta on :data:`PREMISE_GRID` and C(2, 2)
-(:func:`_basis`); and, per tol, the integrals that are the same for every
-eps (:func:`_per_tol`).  The C^3 gluing at t0 is checked for the whole
-family at once, by :func:`inverse_convert` on g_0 and g_1 in
-:func:`build_q`, and so is q >= 0, by exact signs of q_0 and q_1.
+The family is affine in eps, g_eps = t^2 + eps * g_Delta, and both
+conversions are linear, so what does not depend on eps is computed once
+per process (:func:`_basis`) and per tol (:func:`_per_tol`), the C^3
+gluing of every g_eps and whether every q_eps is >= 0 included.
 :func:`verify` cross-checks the conclusion integral of
 :func:`lhs_integral`, a quadrature of q_eps for each eps, against the
 split route, the closed-form total d_0 * pi/2 of :func:`compute_constants`
@@ -58,6 +54,7 @@ T0 = 0.6**0.25  # positive root of 5 t^4 - 3
 _EPS = math.ulp(1.0)
 
 _R3 = Polynomial((-2.0, 16.0, -34.0, 21.0))  # R(tau) = R3(tau) * tau
+_T_SQ = Polynomial((0.0, 0.0, 1.0))
 
 
 class CounterexampleSpec(Value):
@@ -70,7 +67,7 @@ class CounterexampleSpec(Value):
     def __init__(self, epsilon: float = 1.0) -> None:
         if not (0.0 <= epsilon <= 1.0):
             raise ValueError("epsilon must lie in [0, 1]")
-        object.__setattr__(self, "epsilon", epsilon)
+        super().__init__(epsilon)
 
 
 def build_h() -> Polynomial:
@@ -80,14 +77,19 @@ def build_h() -> Polynomial:
     )
 
 
+def _g_delta() -> PiecewisePolynomial:
+    """The deformation g_Delta, -t^2 h on (0, t0) and 0 beyond, with profile
+    g_eps = t^2 + eps g_Delta; 0 - t^2 h keeps its zero coefficients +0.0."""
+    return PiecewisePolynomial((T0,), (Polynomial() - _T_SQ * build_h(), Polynomial()))
+
+
 def build_g(spec: CounterexampleSpec) -> PiecewisePolynomial:
     """The spline profile: t^2 (1 - eps h) on (0, t0), t^2 beyond.
 
     Its gluing at t0 is checked by :func:`build_q`, not here.
     """
-    t_sq = Polynomial((0.0, 0.0, 1.0))
-    deformed = t_sq - spec.epsilon * (t_sq * build_h())
-    return PiecewisePolynomial((spec.t0,), (deformed, t_sq))
+    pieces = (_T_SQ + spec.epsilon * d for d in _g_delta().pieces)
+    return PiecewisePolynomial((spec.t0,), tuple(pieces))
 
 
 def build_q(spec: CounterexampleSpec) -> PiecewisePolynomial:
@@ -136,34 +138,29 @@ def _basis() -> SimpleNamespace:
     :data:`PREMISE_GRID`, ``g0`` and ``g_delta``, G_0(t) and G_Delta(t),
     ``squares``, t*t, and ``lows`` and ``highs``, the premise's bounds.
 
-    g_eps = t^2 (1 - eps h) is affine in eps and the inverse conversion is
-    linear, so q_eps is too: q_0 = :func:`build_q` at eps = 0, which is
-    12 t, and q_Delta = q_1 - q_0 piece by piece.  Both come from
-    :func:`build_q`, so :func:`inverse_convert` gates g_0 and g_1; as
-    g_eps = (1 - eps) g_0 + eps g_1, every g_eps with eps in [0, 1] is then
-    C^3 at t0 too.  q_Delta's last piece must be exactly zero: beyond t0
-    every q_eps is q_0's 12 t, whose half-line integral :func:`_per_tol`
-    computes once for the whole family.  Likewise q_eps = (1 - eps) q_0 +
-    eps q_1, so every q_eps is >= 0 if q_0 and q_1 are: both, formed piece
-    by piece as :func:`lhs_integral` forms q's head, are decided by
-    :func:`_nonnegative`.  The direct conversion is linear too, so G_0 and
-    G_Delta are the closed-form conversions of q_0 and q_Delta at each
-    grid point.  C(2, 2) does not depend on tol either.
+    g_eps = t^2 + eps g_Delta (:func:`_g_delta`) and the inverse conversion
+    is linear, so q_eps = q_0 + eps q_Delta, with q_0 = :func:`build_q` at
+    eps = 0, which is 12 t, and q_Delta the conversion of g_Delta.
+    :func:`inverse_convert` gates the C^3 gluing of g_0 and g_Delta at t0,
+    and so of every g_eps.  Beyond t0, g_Delta and so q_Delta are zero:
+    every q_eps is 12 t there, whose half-line integral :func:`_per_tol`
+    computes once for the whole family.  Every q_eps with eps in [0, 1] is
+    >= 0 if q_0 and q_1 = q_0 + q_Delta are, both formed piece by piece as
+    :func:`lhs_integral` forms q's head and decided by :func:`_nonnegative`.
+    The direct conversion is linear too, so G_0 and G_Delta are the
+    closed-form conversions of q_0 and q_Delta at each grid point.  C(2, 2)
+    does not depend on tol either.
     """
-    q0 = build_q(CounterexampleSpec(0.0))
-    q1 = build_q(CounterexampleSpec(1.0))
-    delta = tuple(b - a for a, b in zip(q0.pieces, q1.pieces))
-    if not delta[-1].is_zero():
-        raise RuntimeError(f"q_1 - q_0 beyond t0 is {delta[-1].coeffs!r}, not zero")
-    q_delta = PiecewisePolynomial(q0.breakpoints, delta)
     params = CounterexampleSpec.params
+    q0 = build_q(CounterexampleSpec(0.0))
+    q_delta = inverse_convert(_g_delta(), params.n)
     squares = tuple(t * t for t in PREMISE_GRID)
     slacks = [1e-12 * max(1.0, sq) for sq in squares]
     return SimpleNamespace(
         q0=q0,
         q_delta=q_delta,
         q_nonnegative=all(
-            _nonnegative(*(a + eps * d for a, d in zip(q0.pieces, delta)))
+            _nonnegative(*(a + eps * d for a, d in zip(q0.pieces, q_delta.pieces)))
             for eps in (0.0, 1.0)
         ),
         constants=compute_constants(params),
@@ -181,10 +178,6 @@ class PremiseReport(Value):
     """Premise check on G, the direct conversion of q, along a grid."""
 
     __slots__ = _fields = ("ok", "worst_margin")
-
-    def __init__(self, ok: bool, worst_margin: float) -> None:
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "worst_margin", worst_margin)
 
 
 def check_premise(spec: CounterexampleSpec) -> PremiseReport:
@@ -370,18 +363,14 @@ def verify(spec: CounterexampleSpec, tol: float = 1e-9) -> VerificationReport:
     """Assemble the full report, computing each integral once.
 
     The report runs the public stages :func:`check_premise`,
-    :func:`lhs_integral` and :func:`delta_I`, once each.  What does not
-    depend on eps is computed once per process in two caches: the basis
-    q_0, q_Delta, whose two inverse conversions gate the C^3 gluing of
-    every g_eps, with whether every q_eps is >= 0, C(2, 2), and G_0 and
-    G_Delta on the premise grid (:func:`_basis`); and, per tol, the
-    half-line part of the conclusion integral and delta_I's base integral
-    (:func:`_per_tol`).  A sweep over eps pays for them at its first eps.
-    Every later eps runs no inverse conversion, no table build and no
-    half-line quadrature: the premise is one pass over the grid, and the
-    conclusion integral forms q's head on (0, t0) and integrates it against
-    the smooth part of the weight, the side of the cross-check that does
-    not lean on linearity in eps.
+    :func:`lhs_integral` and :func:`delta_I`, once each.  A sweep over eps
+    pays at its first eps for what does not depend on eps, cached per
+    process (:func:`_basis`) and per tol (:func:`_per_tol`).  Every later
+    eps runs no inverse conversion, no table build and no half-line
+    quadrature: the premise is one pass over the grid, and the conclusion
+    integral forms q's head on (0, t0) and integrates it against the smooth
+    part of the weight, the side of the cross-check that does not lean on
+    linearity in eps.
 
     ``lhs_cross_difference`` is :func:`lhs_integral` minus the split route,
     the total d_0 * pi/2 of :func:`compute_constants` plus :func:`delta_I`.

@@ -41,6 +41,7 @@ class Polynomial(Value):
         # normal form: no trailing (highest-degree) zeros
         while coeffs and coeffs[-1] == 0.0:
             coeffs = coeffs[:-1]
+        # set here, not by Value.__init__: the binding would slow a hot path
         object.__setattr__(self, "coeffs", coeffs)
 
     @property

@@ -146,10 +146,9 @@ def integrate(
     value, err = _gk15(f, a, b)
     if not (math.isfinite(value) and math.isfinite(err)):
         raise _not_finite(a, b, QuadResult(value, err, 1))
-    # heap entries: (-err, seq, a, b, value, err); seq breaks ties
+    # heap entries: (-err, n_panels at the push to break ties, a, b, value, err)
     heap = [(-err, 0, a, b, value, err)]
     frozen: list[tuple[float, float, float, float]] = []  # (a, b, value, err)
-    seq = 1
     n_panels = 1
     err_sum = err
 
@@ -198,9 +197,8 @@ def integrate(
         if short > 0.0:
             e1 += 0.5 * short
             e2 += 0.5 * short
-        heapq.heappush(heap, (-e1, seq, pa, mid, v1, e1))
-        heapq.heappush(heap, (-e2, seq + 1, mid, pb, v2, e2))
-        seq += 2
+        heapq.heappush(heap, (-e1, n_panels, pa, mid, v1, e1))
+        heapq.heappush(heap, (-e2, n_panels + 1, mid, pb, v2, e2))
         n_panels += 2
         err_sum += e1 + e2 - pe
 

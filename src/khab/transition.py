@@ -42,8 +42,7 @@ class Params(Value):
             raise ValueError("n must be a positive integer")
         if not (alpha > 0 and math.isfinite(alpha)):
             raise ValueError("alpha must be a positive real")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "alpha", alpha)
+        super().__init__(n, alpha)
 
 
 class TransitionFunction(Value):
@@ -54,11 +53,6 @@ class TransitionFunction(Value):
     """
 
     __slots__ = _fields = ("order", "alpha", "p_poly")
-
-    def __init__(self, order: int, alpha: float, p_poly: Polynomial) -> None:
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "p_poly", p_poly)
 
     @property
     def exponent(self) -> int:
@@ -74,10 +68,6 @@ class SignPartition(Value):
     """
 
     __slots__ = _fields = ("boundary_ts", "signs")
-
-    def __init__(self, boundary_ts: tuple[float, ...], signs: tuple[int, ...]) -> None:
-        object.__setattr__(self, "boundary_ts", boundary_ts)
-        object.__setattr__(self, "signs", signs)
 
     def intervals(self) -> list[tuple[float, float, int]]:
         """(lo, hi, sign) triples covering (0, inf)."""

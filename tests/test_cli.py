@@ -409,6 +409,15 @@ class TestConvertCommand:
 
 
 class TestPlotdataCommand:
+    @pytest.mark.parametrize("kind", ["R3", "h", "g", "q"])
+    def test_sample_not_finite_exits_1(self, capsys, kind):
+        # once, plotdata --kind q --to 1e308 printed 5e+307,inf with exit 0
+        code, out, err = run(capsys, ["plotdata", "--kind", kind, "--to", "1e308",
+                                      "--points", "3"])
+        assert code == 1
+        assert err == f"error: {kind}(5e+307) is not a finite float\n"
+        assert "inf" not in out
+
     @pytest.mark.parametrize("bound", ["--from=-inf", "--to=inf", "--to=nan"])
     def test_range_not_finite_is_usage_error(self, capsys, bound):
         with pytest.raises(SystemExit) as excinfo:
@@ -491,8 +500,13 @@ class TestPlotdataCommand:
         ("h", "0", "1.5e308"),
         ("R3", "-1.7e308", "1.7976931348623157e308"),
     ])
-    def test_samples_stay_in_range_when_width_overflows(self, capsys, kind, lo, hi):
-        # --to minus --from is beyond the float range; once inf and nan x
+    def test_samples_stay_in_range_when_width_overflows(
+        self, capsys, monkeypatch, kind, lo, hi
+    ):
+        # --to minus --from is beyond the float range; once inf and nan x.
+        # R3 and h overflow there, so a bounded curve stands in for them
+        monkeypatch.setattr("khab.cli._R3", math.atan)
+        monkeypatch.setattr("khab.cli.build_h", lambda: math.atan)
         code, out, _ = run(capsys, ["plotdata", "--kind", kind, f"--from={lo}",
                                     f"--to={hi}", "--points", "4"])
         xs = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]

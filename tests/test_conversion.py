@@ -86,6 +86,21 @@ class TestPiecewisePolynomial:
                 pw.check_smoothness(3)
             assert (excinfo.value.breakpoint, excinfo.value.order) == (1.0, order)
 
+    def test_gluing_below_unit_scale_is_relative(self):
+        # g doubles at b = 1; an absolute floor of 1e-9 once let it pass
+        pw = PiecewisePolynomial((1.0,), (1e-12 * T_SQ, 2e-12 * T_SQ))
+        with pytest.raises(SmoothnessError) as excinfo:
+            inverse_convert(pw, 2)
+        assert (excinfo.value.breakpoint, excinfo.value.order) == (1.0, 0)
+
+    def test_gluing_overflow_is_refused(self):
+        # both sides of (t^400 | 2 t^400) at b = 10 are inf, and their jump,
+        # NaN, once passed the check
+        t400 = Polynomial((0.0,) * 400 + (1.0,))
+        pw = PiecewisePolynomial((10.0,), (t400, 2.0 * t400))
+        with pytest.raises(ValueError, match="order 0 at breakpoint 10.0 overflows"):
+            inverse_convert(pw, 2)
+
     def test_json_round_trip(self):
         pw = PiecewisePolynomial((T0,), (Polynomial((1.0, -2.5)), T_SQ))
         data = json.loads(json.dumps(pw.to_dict()))

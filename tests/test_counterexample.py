@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from _oracles import counterexample_r_coeffs, log_moment_mp
 import khab.counterexample as ce
 from khab.constants import compute_constants
-from khab.conversion import PiecewisePolynomial, SmoothnessError, exact_direct_convert
+from khab.conversion import (
+    PiecewisePolynomial,
+    SmoothnessError,
+    exact_direct_convert,
+    inverse_convert,
+)
 from khab.counterexample import (
     PREMISE_GRID,
     T0,
@@ -175,15 +180,16 @@ class TestNonnegative:
         assert ce._basis().q_nonnegative is True
 
     def test_dipped_q_reported(self, monkeypatch, cold):
-        # q_1's head loses 200 t^2, so it is negative for 0 < t < 0.06
-        def dipped_q(spec):
-            q = build_q(spec)
-            if spec.epsilon == 0.0:
+        # q_Delta's head, and so q_1's, loses 200 t^2: q_1 is then negative
+        # for 0 < t < 0.06
+        def dipped_conversion(g, n):
+            q = inverse_convert(g, n)
+            if g != ce._g_delta():
                 return q
             head = q.pieces[0] - Polynomial((0.0, 0.0, 200.0))
             return PiecewisePolynomial(q.breakpoints, (head, q.pieces[1]))
 
-        monkeypatch.setattr(ce, "build_q", dipped_q)
+        monkeypatch.setattr(ce, "inverse_convert", dipped_conversion)
         assert not ce._basis().q_nonnegative
         assert "q is negative on (0, t0)" in verify(CounterexampleSpec(0.5)).failures
 
@@ -485,22 +491,9 @@ class TestVerify:
         assert verify(CounterexampleSpec(0.5)).failures == ()
         assert sorted(calls) == ["check_premise", "delta_I", "lhs_integral"]
 
-    def test_nonzero_last_delta_piece_rejected(self, monkeypatch, cold):
-        # the family-wide half-line integral holds only if every q_eps is
-        # q_0 beyond t0, so a q_1 that differs there is refused
-        def bent_q(spec):
-            q = build_q(spec)
-            if spec.epsilon == 0.0:
-                return q
-            return PiecewisePolynomial(q.breakpoints, (q.pieces[0], 1.5 * q.pieces[1]))
-
-        monkeypatch.setattr(ce, "build_q", bent_q)
-        with pytest.raises(RuntimeError, match="not zero"):
-            verify(CounterexampleSpec(0.5))
-
     def test_q_built_once(self, monkeypatch, cold):
-        # q is built for the basis, at eps = 0 and 1, once per process, and
-        # never for a warm eps
+        # q is built for the basis, at eps = 0 only, once per process, and
+        # never for a warm eps; q_Delta is the conversion of g_Delta
         built = []
 
         def counting(spec):
@@ -510,7 +503,7 @@ class TestVerify:
         monkeypatch.setattr(ce, "build_q", counting)
         verify(CounterexampleSpec(0.5))
         verify(CounterexampleSpec(0.25))
-        assert built == [CounterexampleSpec(0.0), CounterexampleSpec(1.0)]
+        assert built == [CounterexampleSpec(0.0)]
 
     def test_warm_verify_builds_nothing_anew(self, monkeypatch, cold):
         # after the first eps, verify runs no inverse conversion, no

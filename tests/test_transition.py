@@ -13,6 +13,7 @@ from khab.poly import RootCertificationError
 from khab.transition import (
     MAX_ORDER,
     Params,
+    TransitionFunction,
     build_transition,
     phi_derivative_poly,
     sign_partition,
@@ -56,6 +57,19 @@ class TestParams:
         # the bridge at level n runs through the order n-1 function
         assert transition_for(Params(2, 2.0)).order == 1
         assert transition_for(Params(1, 0.7)).order == 0
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((1, 2.0), {}),  # missing
+    ((1, 2.0, None, 4), {}),  # extra positional
+    ((1, 2.0), {"p_poly": None, "scale": 1}),  # unknown keyword
+    ((1, 2.0, None), {"order": 1}),  # repeated
+], ids=["missing", "extra", "unknown", "repeated"])
+def test_record_refuses_what_a_signature_would(args, kwargs):
+    # TransitionFunction has no __init__ of its own: Value binds its fields;
+    # test_values checks that keywords build the same value as positions
+    with pytest.raises(TypeError, match=r"TransitionFunction\(\) takes"):
+        TransitionFunction(*args, **kwargs)
 
 
 class TestDerivativeRecurrence:
