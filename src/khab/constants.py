@@ -19,17 +19,18 @@ With s = t^alpha = tan(theta) and p_k the coefficients of P_{n-1},
         = 4*alpha * sum_k p_k sin^(2k+2)(theta) cos^(2(n-1-k))(theta) dtheta
         = sum_{j=0..n} d_j cos(2 j theta) dtheta,   d = 4*alpha * M_n p,
 
-with M_n alpha-independent (:func:`_cos_matrix`), so an interval integrates
-to F(theta_hi) - F(theta_lo), F(theta) = d_0 theta + sum_{j>=1} d_j
-sin(2 j theta)/(2 j), at theta = arctan(t^alpha) of its certified ends
-(pi/2 at infinity).  The integrand vanishes at the ends, so a root error
-enters C only quadratically.  The half-line total is d_0 * pi/2, and its
-match with the closed form is the one consistency check.
+with M_n alpha-independent (:func:`_cos_matrix`) and d exact until rounded
+once, so an interval integrates to F(theta_hi) - F(theta_lo), F(theta) =
+d_0 theta + sum_{j>=1} d_j sin(2 j theta)/(2 j), at theta = arctan(t^alpha)
+of its certified ends (pi/2 at infinity).  The integrand vanishes at the
+ends, so a root error enters C only quadratically.  The half-line total is
+d_0 * pi/2, and its match with the closed form is the one consistency check.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache
 
@@ -79,15 +80,14 @@ def closed_form_total(params: Params) -> float:
 
 
 @cache
-def _cos_matrix(n: int) -> tuple[tuple[float, ...], ...]:
-    """M_n: sin^(2k+2) cos^(2(n-1-k)) = sum_j M[j][k] cos(2 j theta).
+def _cos_matrix(n: int) -> tuple[tuple[int, ...], ...]:
+    """4^n M_n, integers: sin^(2k+2) cos^(2(n-1-k)) = sum_j M[j][k] cos(2 j theta).
 
     From sin^2 = -(y-1)^2/(4y) and cos^2 = (y+1)^2/(4y) at y = exp(2i theta),
-    M[j][k] = (-1)^(k+1) w_j [y^(n+j)] F_k / 4^n with w_0 = 1, w_j = 2 and
-    F_k = (y-1)^(2k+2) (y+1)^(2(n-1-k)): integers over 4^n, exact in floats
-    for n <= 25.  F_0 is (y-1)^2 times binomials, and F_(k+1) is F_k
-    divided twice by y+1, exactly, and multiplied by (y-1)^2, so the n
-    columns cost O(n^2) integer operations.
+    4^n M[j][k] = (-1)^(k+1) w_j [y^(n+j)] F_k with w_0 = 1, w_j = 2 and
+    F_k = (y-1)^(2k+2) (y+1)^(2(n-1-k)).  F_0 is (y-1)^2 times binomials,
+    and F_(k+1) is F_k divided twice by y+1, exactly, and multiplied by
+    (y-1)^2, so the n columns cost O(n^2) integer operations.
     """
 
     def times_square(f: list[int]) -> list[int]:  # f (y-1)^2
@@ -99,14 +99,13 @@ def _cos_matrix(n: int) -> tuple[tuple[float, ...], ...]:
             q.append(c - q[-1])
         return q
 
-    scale = 4**n
     f = times_square([math.comb(2 * n - 2, i) for i in range(2 * n - 1)])
     columns = []
     for k in range(n):
         if k:
             f = times_square(over_y_plus_1(over_y_plus_1(f)))
         columns.append(
-            [(-1) ** (k + 1) * (1 if j == 0 else 2) * f[n + j] / scale for j in range(n + 1)]
+            [(-1) ** (k + 1) * (1 if j == 0 else 2) * f[n + j] for j in range(n + 1)]
         )
     return tuple(zip(*columns))
 
@@ -116,22 +115,20 @@ def compute_constants(params: Params, tol: float = 1e-9) -> ConstantsReport:
 
     Each sign interval is integrated in closed form in theta = arctan(t^alpha)
     (see the module docstring); ``tol`` is validated but has no effect, and
-    root-certification failures propagate.  Every error field holds one
-    rounding bound: (n+2) * eps * pi/2 times the summed |4*alpha*M[j][k]*p_k|.
-    A d, C, m_minus or bound beyond the float range raises ValueError.
-    A bound above 1e-3 * C, where the rounding leaves C without a
-    meaningful digit (at alpha = 3 it does at n = 60, not at n = 50), and a
-    total d_0 * pi/2 off the closed form by more than the bound plus
+    root-certification failures propagate.  With alpha = a/b exactly, d_j =
+    4a sum_k (4^n M)[j][k] num_k / (4^n (n-1)! b^n), num = ``p_numerator``,
+    is one exact integer sum, divided once.  Every error field holds one
+    rounding bound, (n+2) * eps * pi/2 * sum_j |d_j|.  A d, C, m_minus or
+    bound beyond the float range raises ValueError.  A bound above 1e-3 * C
+    and a total d_0 * pi/2 off the closed form by more than the bound plus
     1e-12 * max(1, closed form) raise :class:`ConstantsError`.
     """
     _check_tol(tol)
     tf = transition_for(params)
     part = sign_partition(tf)
     n, alpha = params.n, params.alpha
-    terms = [
-        [4.0 * alpha * m * c for m, c in zip(row, tf.p_poly.coeffs)]
-        for row in _cos_matrix(n)
-    ]
+    a, b = float(alpha).as_integer_ratio()
+    scale = 4**n * math.factorial(n - 1) * b**n
 
     def integral(lo: float, hi: float) -> float:
         theta_lo, theta_hi = math.atan(lo**alpha), math.atan(hi**alpha)
@@ -142,11 +139,12 @@ def compute_constants(params: Params, tol: float = 1e-9) -> ConstantsReport:
 
     intervals = part.intervals()
     overflow = f"C({n}, alpha={alpha!r}) overflows a float"
-    try:  # fsum refuses a sum past the float range, or of opposite infinities
-        d = [math.fsum(row) for row in terms]
+    try:  # a quotient or fsum past the float range, or opposite infinities
+        d = [4 * a * sum(map(operator.mul, row, tf.p_numerator)) / scale
+             for row in _cos_matrix(n)]
         c_upper = math.fsum(integral(lo, hi) for lo, hi, s in intervals if s > 0)
         m_minus = math.fsum(integral(lo, hi) for lo, hi, s in intervals if s < 0)
-        magnitude = math.fsum(abs(x) for row in terms for x in row)
+        magnitude = math.fsum(map(abs, d))
     except (OverflowError, ValueError):
         raise ValueError(overflow) from None
     bound = (n + 2) * math.ulp(1.0) * 0.5 * math.pi * magnitude

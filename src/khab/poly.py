@@ -2,12 +2,12 @@
 
 Coefficients are stored in ascending degree order; the zero polynomial is
 the empty tuple.  Polynomial arithmetic is double precision.  Root
-isolation reads the float coefficients exactly as integers and decides
-every sign in integer arithmetic, so the roots it certifies are those of
-the stored coefficients, on the whole half-line; only the reported root
-values are floats.  Float arithmetic only proposes the points where a
-root's bracket is split (a Newton estimate, then bisection where that
-is too loose), so a root is refined in a handful of exact evaluations.
+isolation takes integer coefficients, or reads float ones exactly as
+integers, and decides every sign in integer arithmetic, so the roots it
+certifies are those of the given coefficients, on the whole half-line;
+only the reported root values are floats.  Float arithmetic only proposes
+the points where a root's bracket is split (a Newton estimate, then
+bisection where too loose), so a root is refined in a few exact evaluations.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ class Polynomial(Value):
 # where a root can be found.
 
 
-def _integer_coeffs(coeffs: tuple[float, ...]) -> list[int]:
-    """The coefficients times one power of two, as exact integers."""
+def _integer_coeffs(coeffs: tuple[float, ...] | tuple[int, ...]) -> list[int]:
+    """The coefficients times one power of two, as exact integers (ints as they are)."""
     ratios = [c.as_integer_ratio() for c in coeffs]
     scale = max(den for _, den in ratios)
     return [num * (scale // den) for num, den in ratios]
@@ -271,11 +271,12 @@ def _unit_roots(a: list[int], reciprocal: bool) -> list[float]:
     return roots
 
 
-def positive_roots(p: Polynomial) -> list[float]:
+def positive_roots(p: Polynomial | tuple[int, ...]) -> list[float]:
     """All roots of ``p`` in (0, inf), sorted, each located to within
     1e-13 * min(1, z), or to two ulps where that is coarser, for z > 1.
 
-    The float coefficients are read exactly as integers, and the roots are
+    ``p`` is a Polynomial, whose float coefficients are read exactly as
+    integers, or exact integer coefficients, ascending.  The roots are
     isolated by Descartes' rule of signs with bisection on (0, 1) and, for
     the reversed coefficients, on (1, inf); z = 1 is tested exactly.  There
     is no search window: every positive root of the exact coefficients is
@@ -286,10 +287,10 @@ def positive_roots(p: Polynomial) -> list[float]:
     once its intervals are 1e-13 * min(1, z) wide, raises
     :class:`RootCertificationError`.
     """
-    if p.is_zero():
+    coeffs = p.coeffs if isinstance(p, Polynomial) else p
+    if not any(coeffs):
         raise ValueError("positive_roots requires a nonzero polynomial")
-
-    a = _integer_coeffs(p.coeffs)
+    a = _integer_coeffs(coeffs)
     while a[0] == 0:  # roots at zero are outside (0, inf)
         a.pop(0)
     if _sign_variations(a) == 0:

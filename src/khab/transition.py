@@ -29,7 +29,7 @@ import math
 from ._value import Value
 from .poly import Polynomial, positive_roots
 
-MAX_ORDER = 170  # conjecture levels n <= 171; C(n, alpha) loses digits past n ~ 50
+MAX_ORDER = 170  # conjecture levels n <= 171
 
 
 class Params(Value):
@@ -48,11 +48,12 @@ class Params(Value):
 class TransitionFunction(Value):
     """Phi_order(alpha, .) in rational normal form.
 
-    ``p_poly`` holds P_order(alpha, .) in the variable z = t^(2*alpha); the
-    denominator exponent is ``order + 2``.
+    ``p_poly`` holds P_order(alpha, .) in the variable z = t^(2*alpha), each
+    coefficient rounded once from ``p_numerator``, the exact integers of
+    order! * d^order * P_order, alpha = a/d; the denominator exponent is ``order + 2``.
     """
 
-    __slots__ = _fields = ("order", "alpha", "p_poly")
+    __slots__ = _fields = ("order", "alpha", "p_poly", "p_numerator")
 
     @property
     def exponent(self) -> int:
@@ -133,12 +134,13 @@ def build_transition(order: int, alpha: float) -> TransitionFunction:
     f = [s * _product([2 * a * s - k * d for k in range(1, order + 1)])
          for s in range(order + 2)]
     c = _series_numerator(f, order + 2)[1:]
+    numerator = tuple((-1) ** (order + j) * x for j, x in enumerate(c))
     scale = math.factorial(order) * d**order
     try:
-        p = Polynomial(tuple((-1) ** (order + j) * x / scale for j, x in enumerate(c)))
+        p = Polynomial(tuple(x / scale for x in numerator))
     except OverflowError:
         raise ValueError(f"P_{order}(alpha={alpha!r}) overflows a float") from None
-    return TransitionFunction(order, alpha, p)
+    return TransitionFunction(order, alpha, p, numerator)
 
 
 def transition_for(params: Params) -> TransitionFunction:
@@ -183,23 +185,20 @@ def transition_eval(tf: TransitionFunction, t: float) -> float:
 def sign_partition(tf: TransitionFunction) -> SignPartition:
     """Split (0, inf) into maximal intervals of constant sign of Phi.
 
-    Boundaries are the certified positive z-roots of the numerator
-    polynomial, each located by :func:`positive_roots` to within
-    1e-13 * min(1, z), or two ulps where that is coarser, for z > 1, mapped
-    to t: isolated by Descartes' rule of signs with bisection, then refined
-    by a float Newton estimate and bisection, each point decided by an
-    exact sign.  A multiple root, or a cluster
-    that bisection has not separated at that width, raises
+    Boundaries are the certified positive z-roots of the exact P, found by
+    :func:`positive_roots` on the integers ``p_numerator`` and each located
+    to within 1e-13 * min(1, z), or two ulps where that is coarser, for
+    z > 1, mapped to t: isolated by Descartes' rule of signs with
+    bisection, then refined by a float Newton estimate and bisection, each
+    point decided by an exact sign.  A multiple root, or a cluster that
+    bisection has not separated at that width, raises
     RootCertificationError.  Every certified root is simple, so the sign
     starts as that of P's lowest nonzero coefficient (P near z = 0+) and
     flips at each boundary.
     """
-    if tf.p_poly.is_zero():
-        raise ValueError("transition numerator is identically zero")
-    z_roots = positive_roots(tf.p_poly)
+    z_roots = positive_roots(tf.p_numerator)
     exponent = 1.0 / (2.0 * tf.alpha)
     boundary = tuple(z**exponent for z in z_roots)
-    lowest = next(c for c in tf.p_poly.coeffs if c != 0.0)
-    first = 1 if lowest > 0 else -1
+    first = 1 if next(c for c in tf.p_numerator if c) > 0 else -1
     signs = tuple(first * (-1) ** i for i in range(len(boundary) + 1))
     return SignPartition(boundary, signs)

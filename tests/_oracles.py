@@ -190,10 +190,13 @@ def series_numerator_running(alpha, factors, count, power, weighted):
 
 
 def cos_matrix_comb_sums(n):
-    """M_n of ``constants._cos_matrix``, each entry by its own binomial sum:
+    """M_n, 4^-n times ``constants._cos_matrix(n)``, as exact sympy
+    rationals, each entry by its own binomial sum:
     [y^(n+j)] (y-1)^a (y+1)^(2n-a) = sum_i (-1)^i C(a, i) C(2n-a, n+j-i)
     for even a = 2k+2, in O(n^3) integer operations all told."""
     import math
+
+    import sympy as sp
 
     def numerator(j, a):
         return sum(
@@ -203,7 +206,8 @@ def cos_matrix_comb_sums(n):
 
     return tuple(
         tuple(
-            (-1) ** (k + 1) * (1 if j == 0 else 2) * numerator(j, 2 * k + 2) / 4**n
+            sp.Rational((-1) ** (k + 1) * (1 if j == 0 else 2) * numerator(j, 2 * k + 2),
+                        4**n)
             for k in range(n)
         )
         for j in range(n + 1)
@@ -249,6 +253,74 @@ def constants_exact_mp(n, alpha, dps=40):
         m_minus = mp.mpf(0)
         for lo, hi in zip(edges, edges[1:]):
             val = mp.quad(integrand, [lo, hi])
+            if val >= 0:
+                c_upper += val
+            else:
+                m_minus += val
+        return c_upper, m_minus
+
+
+def constants_cosine_mp(n, alpha, dps=50):
+    """(C, m_minus) of Phi_{n-1}(alpha, .) from the exact numerator, as mpf,
+    fast enough for n in the hundreds.
+
+    P comes from :func:`transition_numerator_exact` at the exact rational
+    value of ``alpha``; sympy isolates its positive roots exactly, and
+    mpmath's Illinois iteration refines each within its isolating interval.
+    In theta = arctan(sqrt(z)) the integrand
+    f = 4a sin^2 cos^(2n-2) P(tan^2) is an even cosine polynomial of degree
+    2n, so its coefficients come exactly from 2n + 2 equally spaced
+    samples (a discrete cosine transform), and each sign interval
+    integrates to the difference of their antiderivative.  It uses no
+    float coefficient, root or matrix of the package, and no quadrature.
+    """
+    import sympy as sp
+
+    a = sp.Rational(alpha)
+    ascending = transition_numerator_exact(n - 1, a).all_coeffs()[::-1]
+    low = next(k for k, c in enumerate(ascending) if c != 0)  # z = 0 is no boundary
+    q = sp.Poly(ascending[low:][::-1], sp.Symbol("z"))
+    with mp.workdps(dps):
+        def to_mp(r):
+            return mp.mpf(int(r.p)) / int(r.q)
+
+        coeffs = [to_mp(c) for c in ascending]
+        q_mp = [to_mp(c) for c in q.all_coeffs()]
+
+        def q_of(x):
+            return mp.polyval(q_mp, x)
+
+        roots = []
+        for (lo, hi), _ in q.intervals():
+            lo, hi = to_mp(lo), to_mp(hi)
+            if hi <= 0:
+                continue
+            if q_of(lo) == 0 or q_of(hi) == 0:
+                roots.append(lo if q_of(lo) == 0 else hi)
+            else:
+                # a root error enters C only quadratically, so the
+                # iteration's own stop suffices
+                roots.append(mp.findroot(q_of, (lo, hi), solver="illinois", verify=False))
+
+        count = 2 * n + 2
+        samples = []
+        for m in range(count):
+            theta = mp.pi * m / count
+            s2, c2 = mp.sin(theta) ** 2, mp.cos(theta) ** 2
+            total = sum(c * s2**k * c2 ** (n - 1 - k) for k, c in enumerate(coeffs))
+            samples.append(4 * to_mp(a) * s2 * total)
+        d = [sum(f * mp.cos(2 * j * mp.pi * m / count) for m, f in enumerate(samples))
+             * (1 if j == 0 else 2) / count for j in range(n + 1)]
+
+        def big_f(theta):
+            return d[0] * theta + sum(d[j] * mp.sin(2 * j * theta) / (2 * j)
+                                      for j in range(1, n + 1))
+
+        edges = [mp.mpf(0)] + [mp.atan(mp.sqrt(r)) for r in roots] + [mp.pi / 2]
+        c_upper = mp.mpf(0)
+        m_minus = mp.mpf(0)
+        for lo, hi in zip(edges, edges[1:]):
+            val = big_f(hi) - big_f(lo)
             if val >= 0:
                 c_upper += val
             else:

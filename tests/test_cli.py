@@ -109,6 +109,17 @@ class TestConstantsCommand:
         data = json.loads(out)
         assert data["m_minus_integral"] <= 0.0
 
+    def test_once_refused_case_returns_the_reference(self, capsys):
+        # refused while d was summed from rounded terms; the reference is
+        # the tests' constants_cosine_mp(60, 3.0), 50 digits from the exact P
+        code, out, _ = run(
+            capsys, ["constants", "--n", "60", "--alpha", "3", "--format", "json"]
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert abs(data["c_upper"] - 2.282822654561148e19) <= 1e-14 * data["c_upper"]
+        assert data["c_upper_error"] <= 1e-11 * data["c_upper"]
+
 
 class TestOutOfRange:
     # past the supported order, or where P leaves the float range, a CLI
@@ -118,7 +129,6 @@ class TestOutOfRange:
         ["transition", "--n", "400"],
         ["constants", "--n", "3", "--alpha", "1e300"],
         ["transition", "--n", "3", "--alpha", "1e300", "--format", "json"],
-        ["constants", "--n", "60", "--alpha", "3"],
         # C overflows a float: once an OverflowError traceback from fsum,
         # "-inf + inf in fsum", or "C(1, 1e+308) = nan"
         ["constants", "--n", "2", "--alpha", "6e153"],

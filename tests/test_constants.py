@@ -10,6 +10,7 @@ import sympy
 
 import khab.constants as constants
 from _oracles import (
+    constants_cosine_mp,
     constants_exact_mp,
     constants_mp,
     cos_matrix_comb_sums,
@@ -23,7 +24,6 @@ from khab.constants import (
 )
 from khab.counterexample import CounterexampleSpec, lhs_integral
 from khab.quad import integrate_halfline
-from khab.poly import Polynomial
 from khab.transition import (
     Params,
     TransitionFunction,
@@ -144,15 +144,15 @@ class TestClosedForm:
         # numerator is 2a prod_{k<n}(1 + a/k) identically in a
         a = sympy.Symbol("a")
         p = transition_numerator_exact(n - 1, a).all_coeffs()[::-1]
-        row = [sympy.Rational(m) for m in _cos_matrix(n)[0]]
+        row = [sympy.Rational(m, 4**n) for m in _cos_matrix(n)[0]]
         d0 = 4 * a * sum(m * c for m, c in zip(row, p))
         target = 2 * a * sympy.prod([1 + a / k for k in range(1, n)])
         assert sympy.expand(d0 - target) == 0
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_cos_matrix_against_quadrature(self, n):
-        # M[j][k] is the cos(2 j theta) Fourier coefficient of
-        # sin^(2k+2) cos^(2(n-1-k)) on (0, pi/2)
+        # M[j][k], the integer over 4^n, is the cos(2 j theta) Fourier
+        # coefficient of sin^(2k+2) cos^(2(n-1-k)) on (0, pi/2)
         matrix = _cos_matrix(n)
         with mp.workdps(30):
             for j in range(n + 1):
@@ -164,14 +164,14 @@ class TestClosedForm:
                         * mp.cos(2 * j * t),
                         [0, mp.pi / 2],
                     )
-                    assert abs(matrix[j][k] - ref) <= 1e-15
+                    assert abs(mp.mpf(matrix[j][k]) / 4**n - ref) <= 1e-15
 
     def test_cos_matrix_is_the_binomial_sums(self):
         # the column recurrence gives the same integers as the entry-wise
-        # binomial sums, so the same correctly rounded quotients
+        # binomial sums
         for n in range(1, 41):
-            want = [[x.hex() for x in row] for row in cos_matrix_comb_sums(n)]
-            assert [[x.hex() for x in row] for row in _cos_matrix(n)] == want, n
+            got = [[sympy.Rational(m, 4**n) for m in row] for row in _cos_matrix(n)]
+            assert got == [list(row) for row in cos_matrix_comb_sums(n)], n
 
     def test_c22_against_reference(self):
         # bench/reference/values.json, 30 digits without khab code
@@ -202,22 +202,36 @@ class TestClosedForm:
         assert abs(rep.c_upper - float(c_ref)) <= rep.c_upper_error
         assert abs(rep.m_minus_integral - float(m_ref)) <= rep.m_minus_error
 
+    @pytest.mark.parametrize("n, alpha, oracle", [
+        (25, 2.7214971599723423, constants_exact_mp),  # once 1.0e-12 off
+        (112, 1.0, constants_cosine_mp),  # once 5.5e-10 off, two roots lost
+    ])
+    def test_within_a_few_ulps_of_the_exact_numerator(self, n, alpha, oracle):
+        rep = compute_constants(Params(n, alpha), 1e-9)
+        c_ref, m_ref = oracle(n, alpha)
+        assert abs(rep.c_upper - float(c_ref)) <= 1e-14 * float(c_ref)
+        assert abs(rep.m_minus_integral - float(m_ref)) <= 1e-14 * float(-m_ref)
+        assert rep.c_upper_error <= 1e-11 * rep.c_upper
+
     def test_drifted_numerator_fails_the_certificate(self, monkeypatch):
-        tf = build_transition(2, 2.0)
+        # C reads P's integer numerator, not the rounded p_poly; at
+        # alpha = 2.1 = a/2^51 its integers are large enough to drift by 1e-9
+        tf = build_transition(2, 2.1)
         drifted = TransitionFunction(
-            tf.order, tf.alpha, Polynomial(tuple(c * (1 + 1e-9) for c in tf.p_poly.coeffs))
+            tf.order, tf.alpha, tf.p_poly, tuple(c + c // 10**9 for c in tf.p_numerator)
         )
         monkeypatch.setattr(constants, "transition_for", lambda params: drifted)
         with pytest.raises(ConstantsError, match="closed-form total"):
-            compute_constants(Params(3, 2.0), 1e-9)
+            compute_constants(Params(3, 2.1), 1e-9)
 
-    def test_bound_beyond_a_thousandth_raises(self):
-        # at alpha = 3 the rounding bound grows with n: 3.6e-4 of C at
-        # n = 50, which returns, and 3.4e-2 at n = 60, which is refused
+    def test_bound_beyond_a_thousandth_raises(self, monkeypatch):
+        # with exact d the bound stays near 1e-12 of C up to n = 171, so
+        # the gate is tripped by lowering it below the bound of (50, 3)
         rep = compute_constants(Params(50, 3.0), 1e-9)
-        assert 1e-4 * rep.c_upper <= rep.c_upper_error <= 1e-3 * rep.c_upper
-        with pytest.raises(ConstantsError, match=r"C\(60, 3\.0\) .* rounding bound"):
-            compute_constants(Params(60, 3.0), 1e-9)
+        assert rep.c_upper_error <= 1e-11 * rep.c_upper
+        monkeypatch.setattr(constants, "_MAX_REL_BOUND", 0.5 * rep.c_upper_error / rep.c_upper)
+        with pytest.raises(ConstantsError, match=r"C\(50, 3\.0\) .* rounding bound"):
+            compute_constants(Params(50, 3.0), 1e-9)
 
     def test_total_is_d0_half_pi(self):
         rep = compute_constants(Params(3, 2.0), 1e-9)

@@ -30,8 +30,9 @@ ONE = Polynomial((1.0,))
 CASES = [
     (Polynomial, ((1.0, 2.0),), ((1.0, 3.0),), "Polynomial(coeffs=(1.0, 2.0))"),
     (Params, (2, 2.0), (2, 3.0), "Params(n=2, alpha=2.0)"),
-    (TransitionFunction, (1, 2.0, ONE), (0, 2.0, ONE),
-     "TransitionFunction(order=1, alpha=2.0, p_poly=Polynomial(coeffs=(1.0,)))"),
+    (TransitionFunction, (1, 2.0, ONE, (1,)), (0, 2.0, ONE, (1,)),
+     "TransitionFunction(order=1, alpha=2.0, p_poly=Polynomial(coeffs=(1.0,)), "
+     "p_numerator=(1,))"),
     (SignPartition, ((1.0,), (1, -1)), ((), (1,)),
      "SignPartition(boundary_ts=(1.0,), signs=(1, -1))"),
     (PiecewisePolynomial, ((1.0,), (LINE, ONE)), ((2.0,), (LINE, ONE)),
