@@ -20,8 +20,9 @@ naming it, even at its default: ``convert --inverse`` refuses ``--t`` and
 ``g`` and ``q``; a ``--from`` below that is a usage error.
 
 Exit codes: 0 success, 1 verification failure or a stage that cannot
-compute (also ``--n`` > 171, or a C(n, alpha) whose rounding bound exceeds
-1e-3 of it), 2 usage error, 141 (128 + SIGPIPE) when the reader of
+compute (also ``--n`` > 171, a C(n, alpha) whose rounding bound exceeds
+1e-3 of it, or an ``identity`` residual beyond 10 times its quadrature
+error estimate), 2 usage error, 141 (128 + SIGPIPE) when the reader of
 standard output closes it early, as ``| head`` does, with nothing on
 standard error.  ``--alpha``, ``--tol``, ``--t`` and
 ``--y`` must be finite and > 0, and ``plotdata --from/--to`` finite.  Numeric text
@@ -44,6 +45,7 @@ import sys
 from .constants import compute_constants
 from .conversion import PiecewisePolynomial, exact_direct_convert, inverse_convert
 from .counterexample import (
+    _ERROR_FACTOR,
     _R3,
     T0,
     CounterexampleSpec,
@@ -216,6 +218,7 @@ def _emit_json(data: dict) -> None:
 def _cmd_transition(args) -> int:
     tf = build_transition(args.n - 1, args.alpha)
     part = sign_partition(tf)
+    boundaries = [z ** (1.0 / (2.0 * args.alpha)) for z in part.boundary_zs]
     ts = args.t or []
     values = [(t, transition_eval(tf, t)) for t in ts]
     if args.format == "json":
@@ -223,7 +226,7 @@ def _cmd_transition(args) -> int:
             "order": tf.order,
             "alpha": tf.alpha,
             "p_coeffs": list(tf.p_poly.coeffs),
-            "boundaries": list(part.boundary_ts),
+            "boundaries": boundaries,
             "signs": ["+" if s > 0 else "-" for s in part.signs],
             "values": [{"t": t, "phi": v} for t, v in values],
         })
@@ -232,9 +235,8 @@ def _cmd_transition(args) -> int:
               f"alpha = {_fmt(args.alpha)}")
         print("numerator coefficients (ascending in z = t^(2 alpha)):")
         print("  " + "  ".join(_fmt(c) for c in tf.p_poly.coeffs))
-        if part.boundary_ts:
-            print("sign boundaries in t: "
-                  + "  ".join(_fmt(b) for b in part.boundary_ts))
+        if boundaries:
+            print("sign boundaries in t: " + "  ".join(map(_fmt, boundaries)))
         else:
             print("sign boundaries in t: none")
         print("interval signs: " + " ".join("+" if s > 0 else "-" for s in part.signs))
@@ -297,7 +299,12 @@ def _cmd_identity(args) -> int:
             args.tol,
         )
         target = _log_weight(y, two_alpha)
-        rows.append((y, res.value, target, res.value - target))
+        residual = res.value - target
+        err = res.abs_error_estimate
+        if abs(residual) > _ERROR_FACTOR * err + 1e-12 * max(1.0, abs(target)):
+            raise ValueError(f"identity at y = {y!r}: residual {residual:.3e} is beyond "
+                             f"{_ERROR_FACTOR:g} times the quadrature error estimate {err:.3e}")
+        rows.append((y, res.value, target, residual))
     if args.format == "json":
         _emit_json({
             "n": args.n,

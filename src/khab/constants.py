@@ -21,8 +21,8 @@ With s = t^alpha = tan(theta) and p_k the coefficients of P_{n-1},
 
 with M_n alpha-independent (:func:`_cos_matrix`) and d exact until rounded
 once, so an interval integrates to F(theta_hi) - F(theta_lo), F(theta) =
-d_0 theta + sum_{j>=1} d_j sin(2 j theta)/(2 j), at theta = arctan(t^alpha)
-of its certified ends (pi/2 at infinity).  The integrand vanishes at the
+d_0 theta + sum_{j>=1} d_j sin(2 j theta)/(2 j), at theta = arctan(sqrt(z))
+of its certified ends in z (pi/2 at infinity).  The integrand vanishes at the
 ends, so a root error enters C only quadratically.  The half-line total is
 d_0 * pi/2, and its match with the closed form is the one consistency check.
 """
@@ -113,7 +113,7 @@ def _cos_matrix(n: int) -> tuple[tuple[int, ...], ...]:
 def compute_constants(params: Params, tol: float = 1e-9) -> ConstantsReport:
     """Compute C(n, alpha), the negative-part integral and consistency data.
 
-    Each sign interval is integrated in closed form in theta = arctan(t^alpha)
+    Each sign interval is integrated in closed form in theta = arctan(sqrt(z))
     (see the module docstring); ``tol`` is validated but has no effect, and
     root-certification failures propagate.  With alpha = a/b exactly, d_j =
     4a sum_k (4^n M)[j][k] num_k / (4^n (n-1)! b^n), num = ``p_numerator``,
@@ -131,7 +131,7 @@ def compute_constants(params: Params, tol: float = 1e-9) -> ConstantsReport:
     scale = 4**n * math.factorial(n - 1) * b**n
 
     def integral(lo: float, hi: float) -> float:
-        theta_lo, theta_hi = math.atan(lo**alpha), math.atan(hi**alpha)
+        theta_lo, theta_hi = math.atan(math.sqrt(lo)), math.atan(math.sqrt(hi))
         return d[0] * (theta_hi - theta_lo) + sum(
             d[j] * (math.sin(2 * j * theta_hi) - math.sin(2 * j * theta_lo)) / (2 * j)
             for j in range(1, n + 1)

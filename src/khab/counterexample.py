@@ -52,6 +52,7 @@ from .transition import Params, _log_weight, transition_eval, transition_for
 
 T0 = 0.6**0.25  # positive root of 5 t^4 - 3
 _EPS = math.ulp(1.0)
+_ERROR_FACTOR = 10.0  # a residual beyond this many quadrature estimates is a fault
 
 _R3 = Polynomial((-2.0, 16.0, -34.0, 21.0))  # R(tau) = R3(tau) * tau
 _T_SQ = Polynomial((0.0, 0.0, 1.0))
@@ -398,7 +399,7 @@ def verify(spec: CounterexampleSpec, tol: float = 1e-9) -> VerificationReport:
         failures.append("premise inequality violated on the check grid")
     if spec.epsilon > 0 and not excess.value > 0:
         failures.append("delta_I is not positive")
-    if abs(cross) > 10.0 * (
+    if abs(cross) > _ERROR_FACTOR * (
         lhs.abs_error_estimate
         + total.abs_error_estimate
         + excess.abs_error_estimate

@@ -63,16 +63,16 @@ class TransitionFunction(Value):
 class SignPartition(Value):
     """Sign layout of a transition function on the half-line t > 0.
 
-    ``boundary_ts`` are the positive z-roots of the numerator polynomial
-    mapped through t = z^(1/(2*alpha)); ``signs`` holds the sign, +1 or
-    -1, of Phi on each open interval between them.
+    ``boundary_zs`` are the certified positive z-roots of the numerator,
+    kept in z, since at a huge alpha distinct ones round to one float t;
+    ``signs`` holds the sign, +1 or -1, of Phi on each interval between them.
     """
 
-    __slots__ = _fields = ("boundary_ts", "signs")
+    __slots__ = _fields = ("boundary_zs", "signs")
 
     def intervals(self) -> list[tuple[float, float, int]]:
-        """(lo, hi, sign) triples covering (0, inf)."""
-        edges = (0.0,) + self.boundary_ts + (math.inf,)
+        """(lo, hi, sign) triples in z covering (0, inf)."""
+        edges = (0.0,) + self.boundary_zs + (math.inf,)
         return [
             (edges[i], edges[i + 1], self.signs[i])
             for i in range(len(self.signs))
@@ -188,7 +188,7 @@ def sign_partition(tf: TransitionFunction) -> SignPartition:
     Boundaries are the certified positive z-roots of the exact P, found by
     :func:`positive_roots` on the integers ``p_numerator`` and each located
     to within 1e-13 * min(1, z), or two ulps where that is coarser, for
-    z > 1, mapped to t: isolated by Descartes' rule of signs with
+    z > 1, and kept in z: isolated by Descartes' rule of signs with
     bisection, then refined by a float Newton estimate and bisection, each
     point decided by an exact sign.  A multiple root, or a cluster that
     bisection has not separated at that width, raises
@@ -196,9 +196,7 @@ def sign_partition(tf: TransitionFunction) -> SignPartition:
     starts as that of P's lowest nonzero coefficient (P near z = 0+) and
     flips at each boundary.
     """
-    z_roots = positive_roots(tf.p_numerator)
-    exponent = 1.0 / (2.0 * tf.alpha)
-    boundary = tuple(z**exponent for z in z_roots)
+    boundary = tuple(positive_roots(tf.p_numerator))
     first = 1 if next(c for c in tf.p_numerator if c) > 0 else -1
     signs = tuple(first * (-1) ** i for i in range(len(boundary) + 1))
     return SignPartition(boundary, signs)

@@ -162,8 +162,10 @@ def test_criterion_08_extrema():
 def test_criterion_09_root_boundary():
     with criterion(9, "sign boundary equals (3/5)^(1/4) to 1e-12"):
         part = sign_partition(transition_for(Params(2, 2.0)))
-        assert len(part.boundary_ts) == 1
-        assert abs(part.boundary_ts[0] - 0.6**0.25) <= 1e-12
+        assert len(part.boundary_zs) == 1
+        assert abs(part.boundary_zs[0] - 0.6) <= 1e-13 * 0.6
+        # t as ``khab transition`` prints it
+        assert abs(part.boundary_zs[0] ** (1.0 / (2.0 * 2.0)) - 0.6**0.25) <= 1e-12
 
 
 def test_criterion_10_small_alpha_consistency():

@@ -120,6 +120,16 @@ class TestConstantsCommand:
         assert abs(data["c_upper"] - 2.282822654561148e19) <= 1e-14 * data["c_upper"]
         assert data["c_upper_error"] <= 1e-11 * data["c_upper"]
 
+    def test_huge_alpha_returns_the_reference(self, capsys):
+        # once 9.90e94 with exit 0, from boundaries rounded to t ~ 1; the
+        # reference is the tests' constants_cosine_mp(6, 1e16)
+        code, out, _ = run(
+            capsys, ["constants", "--n", "6", "--alpha", "1e16", "--format", "json"]
+        )
+        assert code == 0
+        c = json.loads(out)["c_upper"]
+        assert abs(c - 3.98537866186487e95) <= 1e-14 * c
+
 
 class TestOutOfRange:
     # past the supported order, or where P leaves the float range, a CLI
@@ -136,6 +146,11 @@ class TestOutOfRange:
         ["constants", "--n", "2", "--alpha", "2e154"],
         ["constants", "--n", "2", "--alpha", "1e300"],
         ["constants", "--n", "1", "--alpha", "1e308"],
+        # a residual far beyond the quadrature's estimate: once -ln 2,
+        # -831.8 and -ln 2 with exit 0
+        ["identity", "--n", "1", "--alpha", "1e-6", "--y", "1"],
+        ["identity", "--n", "2", "--alpha", "300"],
+        ["identity", "--n", "1", "--alpha", "3e4", "--y", "1"],
     ])
     def test_exits_one_without_traceback(self, argv):
         done = subprocess.run([sys.executable, "-m", "khab.cli", *argv],
@@ -331,6 +346,12 @@ class TestIdentityCommand:
                                     "--format", "json"])
         assert code == 0
         assert max(abs(row["residual"]) for row in json.loads(out)["rows"]) <= 1e-9
+
+    def test_gross_residual_names_y_residual_and_estimate(self, capsys):
+        code, out, err = run(capsys, ["identity", "--n", "2", "--alpha", "300"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: identity at y = 0.25: residual -8.318e+02 ")
+        assert "quadrature error estimate" in err
 
     @pytest.mark.parametrize("y", ["inf", "nan"])
     def test_y_not_finite_is_usage_error(self, capsys, y):

@@ -213,6 +213,18 @@ class TestClosedForm:
         assert abs(rep.m_minus_integral - float(m_ref)) <= 1e-14 * float(-m_ref)
         assert rep.c_upper_error <= 1e-11 * rep.c_upper
 
+    @pytest.mark.parametrize("n, alpha", [
+        (3, 1e12), (5, 1e13), (6, 1e16), (8, 1e14), (12, 1e12),
+    ])
+    def test_huge_alpha_within_its_bound(self, n, alpha):
+        # once each boundary was mapped to t = z^(1/(2 alpha)), within ulps
+        # of 1, and back through arctan(t^alpha): C missed by 1e6 to 6e13
+        # times its bound, and at (6, 1e16) read 9.9e94 for 3.985e95
+        rep = compute_constants(Params(n, alpha))
+        c_ref, m_ref = constants_cosine_mp(n, alpha)
+        assert abs(rep.c_upper - float(c_ref)) <= rep.c_upper_error
+        assert abs(rep.m_minus_integral - float(m_ref)) <= rep.m_minus_error
+
     def test_drifted_numerator_fails_the_certificate(self, monkeypatch):
         # C reads P's integer numerator, not the rounded p_poly; at
         # alpha = 2.1 = a/2^51 its integers are large enough to drift by 1e-9
@@ -283,7 +295,7 @@ class TestRootIntegralConsistency:
     def test_empty_negative_part_iff_no_positive_roots(self, n, alpha):
         tf = build_transition(n - 1, alpha)
         part = sign_partition(tf)
-        has_roots = len(part.boundary_ts) > 0
+        has_roots = len(part.boundary_zs) > 0
         rep = compute_constants(Params(n, alpha), 1e-9)
         if has_roots:
             assert abs(rep.m_minus_integral) > 1e-9

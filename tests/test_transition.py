@@ -307,21 +307,28 @@ class TestSignPartition:
     def test_headline_case(self):
         tf = build_transition(1, 2.0)
         part = sign_partition(tf)
-        assert len(part.boundary_ts) == 1
+        assert len(part.boundary_zs) == 1
         # z = t^4 is located to 1e-13 * z, so t to a quarter of that
-        assert abs(part.boundary_ts[0] - T0) <= 1e-13 * T0
+        assert abs(part.boundary_zs[0] ** 0.25 - T0) <= 1e-13 * T0
         assert part.signs == (-1, 1)
 
     def test_order_zero_all_positive(self):
         for alpha in (0.5, 1.0, 3.0):
             part = sign_partition(build_transition(0, alpha))
-            assert part.boundary_ts == ()
+            assert part.boundary_zs == ()
             assert part.signs == (1,)
 
     def test_alpha_half_all_positive(self):
         part = sign_partition(build_transition(1, 0.5))
-        assert part.boundary_ts == ()
+        assert part.boundary_zs == ()
         assert part.signs == (1,)
+
+    def test_huge_alpha_boundaries_stay_apart(self):
+        # as t = z^(1/(2 alpha)) they once read (0.9999999999999998,
+        # 0.9999999999999999, 1.0, 1.0, 1.0000000000000002)
+        zs = sign_partition(build_transition(5, 1e16)).boundary_zs
+        assert len(zs) == 5
+        assert all(lo < hi for lo, hi in zip(zs, zs[1:]))
 
     def test_intervals_cover_halfline(self):
         tf = build_transition(2, 2.0)
@@ -336,7 +343,8 @@ class TestSignPartition:
     def test_signs_consistent_inside_intervals(self, order, alpha):
         tf = build_transition(order, alpha)
         part = sign_partition(tf)
-        for lo, hi, sign in part.intervals():
+        for z_lo, z_hi, sign in part.intervals():
+            lo, hi = (z ** (1.0 / (2.0 * alpha)) for z in (z_lo, z_hi))
             a = lo if lo > 0 else (hi / 1000.0 if math.isfinite(hi) else 1e-3)
             b = hi if math.isfinite(hi) else max(10.0, 10.0 * a)
             for i in range(1, 100):
@@ -357,7 +365,7 @@ class TestSignPartition:
                 coeffs.pop()
             assert sympy.Poly(coeffs, z).count_roots(0, sympy.oo) == count, (n, alpha)
             part = sign_partition(transition_for(Params(n, alpha)))
-            assert len(part.boundary_ts) == count, (n, alpha)
+            assert len(part.boundary_zs) == count, (n, alpha)
 
     @pytest.mark.parametrize("n, alpha, count", [
         (112, 1.0, 56), (89, 3.0, 74), (171, 1.0, 85),
@@ -374,7 +382,7 @@ class TestSignPartition:
             z = sympy.Symbol("z")
             assert sympy.Poly(coeffs, z).count_roots(0, sympy.oo) == count
         part = sign_partition(transition_for(Params(n, alpha)))
-        assert len(part.boundary_ts) == count
+        assert len(part.boundary_zs) == count
 
     def test_sweep_counts_are_exact(self):
         # n = 1..25 x alpha in 0.01..100: roots reach z ~ 6e-26 and z ~ 2e7.
@@ -404,7 +412,7 @@ class TestSignPartition:
             "from khab.transition import Params, sign_partition, transition_for",
             f"cases = {cases!r}",
             "print(json.dumps([len(sign_partition(transition_for(Params(n, a)))"
-            ".boundary_ts) for n, a in cases]))",
+            ".boundary_zs) for n, a in cases]))",
         ])
         src = os.path.dirname(os.path.dirname(os.path.abspath(khab.__file__)))
         env = dict(os.environ)

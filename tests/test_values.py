@@ -34,7 +34,7 @@ CASES = [
      "TransitionFunction(order=1, alpha=2.0, p_poly=Polynomial(coeffs=(1.0,)), "
      "p_numerator=(1,))"),
     (SignPartition, ((1.0,), (1, -1)), ((), (1,)),
-     "SignPartition(boundary_ts=(1.0,), signs=(1, -1))"),
+     "SignPartition(boundary_zs=(1.0,), signs=(1, -1))"),
     (PiecewisePolynomial, ((1.0,), (LINE, ONE)), ((2.0,), (LINE, ONE)),
      "PiecewisePolynomial(breakpoints=(1.0,), pieces=(Polynomial(coeffs=(0.0, 1.0)), "
      "Polynomial(coeffs=(1.0,))))"),
