@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cache
 
+from ._value import Value
 from .quad import QuadResult, _check_tol
 from .transition import Params, sign_partition, transition_for
 
@@ -44,16 +44,40 @@ class ConstantsError(RuntimeError):
     """A computed constants report violates its own consistency bounds."""
 
 
-@dataclass(frozen=True)
-class ConstantsReport:
-    params: Params
-    c_upper: float
-    closed_form_total: float
-    m_minus_integral: float
-    decomposition_residual: float
-    total_integral: QuadResult
-    c_upper_error: float
-    m_minus_error: float
+class ConstantsReport(Value):
+    """C(n, alpha), the negative-part integral and their consistency data."""
+
+    __slots__ = _fields = (
+        "params",
+        "c_upper",
+        "closed_form_total",
+        "m_minus_integral",
+        "decomposition_residual",
+        "total_integral",
+        "c_upper_error",
+        "m_minus_error",
+    )
+
+    def __init__(
+        self,
+        params: Params,
+        c_upper: float,
+        closed_form_total: float,
+        m_minus_integral: float,
+        decomposition_residual: float,
+        total_integral: QuadResult,
+        c_upper_error: float,
+        m_minus_error: float,
+    ) -> None:
+        # set here, not by Value.__init__: keywords bind faster to a signature
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "c_upper", c_upper)
+        object.__setattr__(self, "closed_form_total", closed_form_total)
+        object.__setattr__(self, "m_minus_integral", m_minus_integral)
+        object.__setattr__(self, "decomposition_residual", decomposition_residual)
+        object.__setattr__(self, "total_integral", total_integral)
+        object.__setattr__(self, "c_upper_error", c_upper_error)
+        object.__setattr__(self, "m_minus_error", m_minus_error)
 
     def to_dict(self) -> dict:
         return {

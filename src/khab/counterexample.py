@@ -38,7 +38,6 @@ compute raises; the report's failures are verdicts only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import le, sub, truediv
 from types import SimpleNamespace
@@ -309,21 +308,49 @@ def log_moment(p: Polynomial, b: float) -> QuadResult:
     )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Value):
     """Full verification record for one eps."""
 
-    spec: CounterexampleSpec
-    premise_ok: bool
-    premise_worst_margin: float
-    lhs_integral: QuadResult
-    lhs_cross_difference: float
-    rhs_conjecture: float
-    delta_I: QuadResult
-    c_upper: float
-    violation_margin: float
-    bound_ok: bool
-    failures: tuple[str, ...] = ()
+    __slots__ = _fields = (
+        "spec",
+        "premise_ok",
+        "premise_worst_margin",
+        "lhs_integral",
+        "lhs_cross_difference",
+        "rhs_conjecture",
+        "delta_I",
+        "c_upper",
+        "violation_margin",
+        "bound_ok",
+        "failures",
+    )
+
+    def __init__(
+        self,
+        spec: CounterexampleSpec,
+        premise_ok: bool,
+        premise_worst_margin: float,
+        lhs_integral: QuadResult,
+        lhs_cross_difference: float,
+        rhs_conjecture: float,
+        delta_I: QuadResult,
+        c_upper: float,
+        violation_margin: float,
+        bound_ok: bool,
+        failures: tuple[str, ...] = (),
+    ) -> None:
+        # set here, not by Value.__init__: keywords bind faster to a signature
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "premise_ok", premise_ok)
+        object.__setattr__(self, "premise_worst_margin", premise_worst_margin)
+        object.__setattr__(self, "lhs_integral", lhs_integral)
+        object.__setattr__(self, "lhs_cross_difference", lhs_cross_difference)
+        object.__setattr__(self, "rhs_conjecture", rhs_conjecture)
+        object.__setattr__(self, "delta_I", delta_I)
+        object.__setattr__(self, "c_upper", c_upper)
+        object.__setattr__(self, "violation_margin", violation_margin)
+        object.__setattr__(self, "bound_ok", bound_ok)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def violated(self) -> bool:

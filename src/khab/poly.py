@@ -99,10 +99,10 @@ class Polynomial(Value):
 # where a root can be found.
 
 
-def _integer_coeffs(coeffs: tuple[float, ...] | tuple[int, ...]) -> list[int]:
-    """The coefficients times one power of two, as exact integers (ints as they are)."""
+def _integer_coeffs(coeffs: tuple[float, ...]) -> list[int]:
+    """The float coefficients times one power of two, as exact integers."""
     ratios = [c.as_integer_ratio() for c in coeffs]
-    scale = max(den for _, den in ratios)
+    scale = max((den for _, den in ratios), default=1)
     return [num * (scale // den) for num, den in ratios]
 
 
@@ -287,10 +287,9 @@ def positive_roots(p: Polynomial | tuple[int, ...]) -> list[float]:
     once its intervals are 1e-13 * min(1, z) wide, raises
     :class:`RootCertificationError`.
     """
-    coeffs = p.coeffs if isinstance(p, Polynomial) else p
-    if not any(coeffs):
+    a = _integer_coeffs(p.coeffs) if isinstance(p, Polynomial) else list(p)
+    if not any(a):
         raise ValueError("positive_roots requires a nonzero polynomial")
-    a = _integer_coeffs(coeffs)
     while a[0] == 0:  # roots at zero are outside (0, inf)
         a.pop(0)
     if _sign_variations(a) == 0:

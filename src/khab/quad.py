@@ -20,7 +20,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+
+from ._value import Value
 
 # 15-point Kronrod abscissae (positive half, descending) with weights, and
 # the embedded 7-point Gauss weights for abscissae 1, 3, 5, 7.
@@ -55,13 +56,16 @@ _EPS = math.ulp(1.0)
 _MAX_PANELS = 20000  # panel budget of one finite-interval integral
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(Value):
     """Value, absolute error estimate and panel count of one integral."""
 
-    value: float
-    abs_error_estimate: float
-    subdivisions: int
+    __slots__ = _fields = ("value", "abs_error_estimate", "subdivisions")
+
+    def __init__(self, value: float, abs_error_estimate: float, subdivisions: int) -> None:
+        # set here, not by Value.__init__: every integral builds several
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "abs_error_estimate", abs_error_estimate)
+        object.__setattr__(self, "subdivisions", subdivisions)
 
 
 def _check_tol(tol: float) -> None:

@@ -131,8 +131,9 @@ def build_transition(order: int, alpha: float) -> TransitionFunction:
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError("alpha must be a positive real")
     a, d = float(alpha).as_integer_ratio()
-    f = [s * _product([2 * a * s - k * d for k in range(1, order + 1)])
-         for s in range(order + 2)]
+    kd = [k * d for k in range(1, order + 1)]
+    f = [s * _product([two_as - x for x in kd])  # two_as = 2*a*s
+         for s, two_as in enumerate(range(0, 2 * a * (order + 2), 2 * a))]
     c = _series_numerator(f, order + 2)[1:]
     numerator = tuple((-1) ** (order + j) * x for j, x in enumerate(c))
     scale = math.factorial(order) * d**order
