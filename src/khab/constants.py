@@ -25,6 +25,15 @@ d_0 theta + sum_{j>=1} d_j sin(2 j theta)/(2 j), at theta = arctan(sqrt(z))
 of its certified ends in z (pi/2 at infinity).  The integrand vanishes at the
 ends, so a root error enters C only quadratically.  The half-line total is
 d_0 * pi/2, and its match with the closed form is the one consistency check.
+
+Where Phi_{n-1} >= 0 on all of (0, inf), the nonnegative part is the whole
+half-line: C is the closed-form total and m_minus = 0, with no roots and no
+d.  That holds at n = 1, where P_0 = 1, and for alpha <= 1/2 at every
+n <= MAX_ORDER + 1.  There each coefficient p_j of P_{n-1} is positive on
+(0, 1/2): with alpha = u/(2(1+u)), m! (2(1+u))^m p_j is an integer
+polynomial in u with no negative coefficient, for every order m <= MAX_ORDER
+(``tests/_certificate.py``).  At alpha = 1/2 each p_j is >= 0 by continuity,
+and the leading one is prod_k (1 + 2*alpha/k) > 0.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from functools import cache
 
 from ._value import Value
 from .quad import QuadResult, _check_tol
-from .transition import Params, sign_partition, transition_for
+from .transition import MAX_ORDER, Params, sign_partition, transition_for
 
 _MAX_REL_BOUND = 1e-3  # largest rounding bound of C, relative to C
 
@@ -146,11 +155,32 @@ def compute_constants(params: Params, tol: float = 1e-9) -> ConstantsReport:
     bound beyond the float range raises ValueError.  A bound above 1e-3 * C
     and a total d_0 * pi/2 off the closed form by more than the bound plus
     1e-12 * max(1, closed form) raise :class:`ConstantsError`.
+
+    At n = 1, and at alpha <= 1/2 for n <= MAX_ORDER + 1, Phi_{n-1} >= 0 is
+    certified (see the module docstring), so C is the closed form and
+    m_minus = 0 exactly, with no root isolation and no d.  The closed form
+    is 3n roundings, each of relative size <= u = 2^-53, from pi*alpha*prod:
+    alpha/k, 1 + alpha/k and the running product for each k < n (an alpha/k
+    that underflows errs by less than u relative to 1 + alpha/k), then pi,
+    pi*alpha and the last product.  So it is within gamma_3n * C, gamma_k =
+    k*u/(1 - k*u), of C, plus what underflow adds: only where pi*alpha is
+    subnormal, where every 1 + alpha/k rounds to 1, so at most 2^-1075 from
+    each of the two last products.  The reported c_upper_error,
+    3n * 2^-52 * C + 2^-1074, covers both, with room for gamma's
+    denominator and its own two roundings; m_minus_error is 0.
     """
     _check_tol(tol)
+    n, alpha = params.n, params.alpha
+    overflow = f"C({n}, alpha={alpha!r}) overflows a float"
+    if n == 1 or (alpha <= 0.5 and n <= MAX_ORDER + 1):
+        closed = closed_form_total(params)
+        if not math.isfinite(closed):
+            raise ValueError(overflow)
+        bound = 3 * n * math.ulp(1.0) * closed + math.ulp(0.0)
+        return ConstantsReport(params, closed, closed, 0.0, 0.0,
+                               QuadResult(closed, bound, 0), bound, 0.0)
     tf = transition_for(params)
     part = sign_partition(tf)
-    n, alpha = params.n, params.alpha
     a, b = float(alpha).as_integer_ratio()
     scale = 4**n * math.factorial(n - 1) * b**n
 
@@ -162,7 +192,6 @@ def compute_constants(params: Params, tol: float = 1e-9) -> ConstantsReport:
         )
 
     intervals = part.intervals()
-    overflow = f"C({n}, alpha={alpha!r}) overflows a float"
     try:  # a quotient or fsum past the float range, or opposite infinities
         d = [4 * a * sum(map(operator.mul, row, tf.p_numerator)) / scale
              for row in _cos_matrix(n)]

@@ -289,6 +289,70 @@ class TestClosedForm:
             assert err <= 1e-8 * c
 
 
+class TestCertifiedBranch:
+    # Phi_{n-1} >= 0 on (0, inf) at n = 1 and at alpha <= 1/2 for n <= 171
+    # (tests/test_certificate.py): C is the closed form and m_minus is 0
+
+    @pytest.mark.parametrize("n", [2, 5, 25, 60, 171])
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-6, 0.01, 0.3, 0.5])
+    def test_against_the_exact_numerator(self, n, alpha):
+        rep = compute_constants(Params(n, alpha))
+        c_ref, m_ref = constants_cosine_mp(n, alpha)
+        assert m_ref == 0
+        with mp.workdps(50):
+            assert abs(mp.mpf(rep.c_upper) - c_ref) <= rep.c_upper_error
+        assert rep.c_upper == rep.closed_form_total == rep.total_integral.value
+        assert (rep.m_minus_integral, rep.m_minus_error, rep.decomposition_residual) == (0, 0, 0)
+        assert rep.total_integral.subdivisions == 0
+        assert rep.c_upper_error <= 1e-12 * rep.c_upper
+
+    @pytest.mark.parametrize("n, alpha", [(1, 1e-320), (2, 1e-310), (3, 5e-324)])
+    def test_subnormal_c_within_its_bound(self, n, alpha):
+        # the bound once read 0.0 here, against errors of 0.42, 0.45 and
+        # 0.14 times 2^-1074
+        rep = compute_constants(Params(n, alpha))
+        with mp.workdps(50):
+            a = mp.mpf(alpha)
+            exact = mp.pi * a * mp.fprod(1 + a / k for k in range(1, n))
+            assert abs(mp.mpf(rep.c_upper) - exact) <= rep.c_upper_error
+        assert rep.c_upper_error > 0
+
+    @pytest.mark.parametrize("alpha", [0.75, 3.0, 1e300, 5e307])
+    def test_order_one_is_pi_alpha(self, alpha):
+        # (1, 5e307) once overflowed in 4 alpha inside d and was refused
+        rep = compute_constants(Params(1, alpha))
+        with mp.workdps(50):
+            assert abs(mp.mpf(rep.c_upper) - mp.pi * alpha) <= rep.c_upper_error
+        assert rep.m_minus_integral == 0.0
+        assert math.isfinite(rep.c_upper)
+
+    @pytest.mark.parametrize("n, alpha", [(1, 3.0), (2, 0.5), (40, 0.3), (171, 1e-300)])
+    def test_no_root_isolation(self, monkeypatch, n, alpha):
+        def refuse(*args):
+            raise AssertionError("the general path was taken")
+
+        for name in ("transition_for", "sign_partition", "_cos_matrix"):
+            monkeypatch.setattr(constants, name, refuse)
+        assert compute_constants(Params(n, alpha)).m_minus_integral == 0.0
+
+    def test_uncertified_order_is_refused(self):
+        # the certificate stops at order 170, so n = 172 still goes to
+        # build_transition, which refuses it
+        with pytest.raises(ValueError, match="order must be an integer"):
+            compute_constants(Params(172, 0.3))
+
+    def test_just_above_one_half_takes_the_general_path(self):
+        alpha = math.nextafter(0.5, 1)
+        assert len(sign_partition(build_transition(1, alpha)).boundary_zs) == 1
+        assert compute_constants(Params(2, alpha)).m_minus_integral < 0
+
+    @pytest.mark.parametrize("order", [1, 40, 120, 170])
+    @pytest.mark.parametrize("alpha", [1e-6, 0.3, 0.5])
+    def test_isolation_finds_no_boundary(self, order, alpha):
+        part = sign_partition(build_transition(order, alpha))
+        assert (part.boundary_zs, part.signs) == ((), (1,))
+
+
 class TestRootIntegralConsistency:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5])

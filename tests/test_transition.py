@@ -28,6 +28,7 @@ from _oracles import (
     series_numerator_running,
     transition_fd,
     transition_numerator_exact,
+    transition_numerator_integers,
 )
 
 T0 = 0.6**0.25
@@ -165,6 +166,14 @@ class TestBuild:
             scale = math.factorial(order) * d**order
             got = build_transition(order, alpha).p_numerator
             assert [sympy.Rational(c, scale) for c in got] == exact, order
+
+    @pytest.mark.parametrize("alpha", [0.3, 3.0, 1e-300])
+    def test_oracles_integer_route_is_sympys(self, alpha):
+        # the integer route of the cosine oracle against its sympy recurrence
+        for order in range(9):
+            b, den = transition_numerator_integers(order, exact_alpha(alpha))
+            exact = transition_numerator_exact(order, exact_alpha(alpha)).all_coeffs()[::-1]
+            assert [sympy.Rational(c, den) for c in b] == exact, order
 
     def test_order_limit(self):
         assert build_transition(MAX_ORDER, 1.0).p_poly.degree == MAX_ORDER
