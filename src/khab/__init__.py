@@ -24,11 +24,12 @@ from .counterexample import (
 )
 from .kernel import kernel_eval
 from .poly import Polynomial, RootCertificationError, positive_roots
-from .quad import QuadratureError, QuadResult, integrate, integrate_halfline
+from .quad import QuadratureError, QuadResult, integrate
 from .transition import (
     Params,
     SignPartition,
     TransitionFunction,
+    bridge_integral,
     build_transition,
     phi_derivative_poly,
     sign_partition,
@@ -50,6 +51,7 @@ __all__ = [
     "T0",
     "TransitionFunction",
     "VerificationReport",
+    "bridge_integral",
     "build_g",
     "build_h",
     "build_q",
@@ -61,7 +63,6 @@ __all__ = [
     "direct_convert",
     "exact_direct_convert",
     "integrate",
-    "integrate_halfline",
     "inverse_convert",
     "kernel_eval",
     "lhs_integral",

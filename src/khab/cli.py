@@ -54,12 +54,12 @@ from .counterexample import (
     build_q,
     verify,
 )
-from .kernel import kernel_eval
-from .quad import QuadratureError, integrate_halfline
+from .quad import QuadratureError
 from .transition import (
     MAX_ORDER,
     Params,
     _log_weight,
+    bridge_integral,
     build_transition,
     sign_partition,
     transition_eval,
@@ -289,16 +289,11 @@ def _cmd_counterexample(args) -> int:
 
 def _cmd_identity(args) -> int:
     tf = build_transition(args.n - 1, args.alpha)
-    two_alpha = 2.0 * args.alpha
     ys = args.y or [0.25, 0.5, 1.0, 2.0, 4.0]
     rows = []
     for y in ys:
-        res = integrate_halfline(
-            lambda t: transition_eval(tf, t) * kernel_eval(tf.order, y / t),
-            y,
-            args.tol,
-        )
-        target = _log_weight(y, two_alpha)
+        res = bridge_integral(tf, y, args.tol)
+        target = _log_weight(y, 2.0 * args.alpha)
         residual = res.value - target
         err = res.abs_error_estimate
         if abs(residual) > _ERROR_FACTOR * err + 1e-12 * max(1.0, abs(target)):

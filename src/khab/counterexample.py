@@ -31,8 +31,9 @@ gluing of every g_eps and whether every q_eps is >= 0 included.
 split route, the closed-form total d_0 * pi/2 of :func:`compute_constants`
 plus delta_I.  The conclusion integral takes the log singularity of its
 weight at 0 in closed form, -2 alpha times :func:`log_moment` of q's first
-piece, and only smooth integrands by quadrature.  A stage that cannot
-compute raises; the report's failures are verdicts only.
+piece, and its part beyond t0 in closed form, so only smooth integrands go
+to quadrature.  A stage that cannot compute raises; the report's failures
+are verdicts only.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from ._value import Value
 from .constants import compute_constants
 from .conversion import PiecewisePolynomial, exact_direct_convert, inverse_convert
 from .poly import _ROOT_TOL, Polynomial, positive_roots
-from .quad import QuadResult, _check_tol, integrate, integrate_halfline
-from .transition import Params, _log_weight, transition_eval, transition_for
+from .quad import QuadResult, _check_tol, integrate
+from .transition import Params, transition_eval, transition_for
 
 T0 = 0.6**0.25  # positive root of 5 t^4 - 3
 _EPS = math.ulp(1.0)
@@ -134,7 +135,7 @@ def _nonnegative(head: Polynomial, tail: Polynomial) -> bool:
 def _basis() -> SimpleNamespace:
     """The record of the family that depends on neither eps nor tol, once
     per process: q_eps = ``q0`` + eps * ``q_delta``; ``q_nonnegative``,
-    whether every q_eps is >= 0; ``constants``, C(2, 2); and per t of
+    whether every q_eps is >= 0; ``constants``, C(2, 2); ``tail``; per t of
     :data:`PREMISE_GRID`, ``g0`` and ``g_delta``, G_0(t) and G_Delta(t),
     ``squares``, t*t, and ``lows`` and ``highs``, the premise's bounds.
 
@@ -143,9 +144,9 @@ def _basis() -> SimpleNamespace:
     eps = 0, which is 12 t, and q_Delta the conversion of g_Delta.
     :func:`inverse_convert` gates the C^3 gluing of g_0 and g_Delta at t0,
     and so of every g_eps.  Beyond t0, g_Delta and so q_Delta are zero:
-    every q_eps is 12 t there, whose half-line integral :func:`_per_tol`
-    computes once for the whole family.  Every q_eps with eps in [0, 1] is
-    >= 0 if q_0 and q_1 = q_0 + q_Delta are, both formed piece by piece as
+    every q_eps is 12 t there, whose integral (:func:`_tail_integral`) is
+    ``tail``.  Every q_eps with eps in [0, 1] is >= 0 if q_0 and
+    q_1 = q_0 + q_Delta are, both formed piece by piece as
     :func:`lhs_integral` forms q's head and decided by :func:`_nonnegative`.
     The direct conversion is linear too, so G_0 and G_Delta are the
     closed-form conversions of q_0 and q_Delta at each grid point.  C(2, 2)
@@ -164,6 +165,7 @@ def _basis() -> SimpleNamespace:
             for eps in (0.0, 1.0)
         ),
         constants=compute_constants(params),
+        tail=_tail_integral(q0.pieces[-1].coeffs[1]),  # q_0 = 12 t beyond t0
         g0=tuple(exact_direct_convert(q0, params.n, t) for t in PREMISE_GRID),
         g_delta=tuple(
             exact_direct_convert(q_delta, params.n, t) for t in PREMISE_GRID
@@ -210,7 +212,7 @@ def delta_I(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
     scaled by -eps, exposing the exact linearity in eps.
     """
     _check_tol(tol)
-    base = _per_tol(tol).delta_I_base
+    base = _per_tol(tol)
     eps = spec.epsilon
     return QuadResult(
         -eps * base.value, abs(eps) * base.abs_error_estimate, base.subdivisions
@@ -228,9 +230,8 @@ def lhs_integral(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
     linearity in eps, which delta_I does.  There the weight is
     -2a ln t + log1p(t^(2a)): the log part, the only singular one, is
     integrated in closed form by :func:`log_moment`, the smooth rest by
-    quadrature at tol/2.  Beyond t0 every q_eps is 12 t, whose half-line
-    integral against the weight, at the other tol/2, is computed once per
-    process and tol (:func:`_per_tol`).
+    quadrature, the one quadrature here, at tol.  Beyond t0 every q_eps is
+    12 t, whose integral is in closed form (:func:`_basis`).
     """
     _check_tol(tol)
     basis = _basis()
@@ -245,8 +246,8 @@ def lhs_integral(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
         QuadResult(
             -two_alpha * log_part.value, two_alpha * log_part.abs_error_estimate, 0
         ),
-        integrate(smooth_rest, 0.0, spec.t0, tol / 2),
-        _per_tol(tol).halfline,
+        integrate(smooth_rest, 0.0, spec.t0, tol),
+        basis.tail,
     )
     return QuadResult(
         math.fsum(p.value for p in parts),
@@ -256,27 +257,26 @@ def lhs_integral(spec: CounterexampleSpec, tol: float = 1e-9) -> QuadResult:
 
 
 @lru_cache(maxsize=8)
-def _per_tol(tol: float) -> SimpleNamespace:
+def _per_tol(tol: float) -> QuadResult:
     """What :func:`verify` needs at one tol that is the same for every eps,
-    once per process and tol: ``halfline``, the half-line part of the
-    conclusion integral, 12 t against the log weight over (t0, inf) at
-    tol/2, and ``delta_I_base``, delta_I's base integral of
+    once per process and tol: delta_I's base integral of
     Phi_1(2,t) t^2 h(t) over (0, t0)."""
-    params = CounterexampleSpec.params
-    two_alpha = 2.0 * params.alpha
-    tail = _basis().q0.pieces[-1]
-    tf = transition_for(params)
+    tf = transition_for(CounterexampleSpec.params)
     h = build_h()
 
     def base_integrand(t: float) -> float:
         return transition_eval(tf, t) * t * t * h(t)
 
-    return SimpleNamespace(
-        halfline=integrate_halfline(
-            lambda t: tail(t) * _log_weight(t, two_alpha), T0, tol / 2
-        ),
-        delta_I_base=integrate(base_integrand, 0.0, T0, tol),
-    )
+    return integrate(base_integrand, 0.0, T0, tol)
+
+
+def _tail_integral(c: float) -> QuadResult:
+    """Integral of c t ln(1 + t^-4) over (t0, inf) in closed form,
+    (c/2) (2 atan(1/u0) - u0 log1p(1/u0^2)) with u0 = t0^2, as
+    u ln(1 + u^-2) + 2 atan(u) -> pi; its bound is four ulps of the terms."""
+    u0 = T0 * T0
+    a, b = 2.0 * math.atan(1.0 / u0), u0 * math.log1p(1.0 / (u0 * u0))
+    return QuadResult(0.5 * c * (a - b), 2.0 * _EPS * abs(c) * (a + b), 0)
 
 
 def log_moment(p: Polynomial, b: float) -> QuadResult:
@@ -394,11 +394,10 @@ def verify(spec: CounterexampleSpec, tol: float = 1e-9) -> VerificationReport:
     :func:`lhs_integral` and :func:`delta_I`, once each.  A sweep over eps
     pays at its first eps for what does not depend on eps, cached per
     process (:func:`_basis`) and per tol (:func:`_per_tol`).  Every later
-    eps runs no inverse conversion, no table build and no half-line
-    quadrature: the premise is one pass over the grid, and the conclusion
-    integral forms q's head on (0, t0) and integrates it against the smooth
-    part of the weight, the side of the cross-check that does not lean on
-    linearity in eps.
+    eps runs no inverse conversion and no table build: the premise is one
+    pass over the grid, and the conclusion integral forms q's head on
+    (0, t0) and integrates it against the smooth part of the weight, the
+    side of the cross-check that does not lean on linearity in eps.
 
     ``lhs_cross_difference`` is :func:`lhs_integral` minus the split route,
     the total d_0 * pi/2 of :func:`compute_constants` plus :func:`delta_I`.

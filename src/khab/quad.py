@@ -1,9 +1,9 @@
-"""Adaptive quadrature on finite intervals and the half-line.
+"""Adaptive quadrature on finite intervals.
 
-The finite-interval driver pairs a 7-point Gauss rule with its 15-point
-Kronrod extension on every panel and refines globally: the panel with the
-largest error estimate is bisected until the summed estimate meets the
-requested tolerance.  Where two halves contradict their parent's value
+The driver pairs a 7-point Gauss rule with its 15-point Kronrod extension
+on every panel and refines globally: the panel with the largest error
+estimate is bisected until the summed estimate meets the requested
+tolerance.  Where two halves contradict their parent's value
 by more than their estimates claim, the estimates are raised to that
 discrepancy, which catches a panel on which the Gauss and Kronrod sums
 agreed by accident.  The rule is open, so endpoints are never sampled and
@@ -11,8 +11,8 @@ integrable endpoint singularities (``x**beta`` with ``beta > -1``, ``ln x``)
 are absorbed by panels grading geometrically into the endpoint.  That
 grading resolves a singularity fully only when the endpoint sits at
 coordinate zero, where binary floating point has unbounded relative
-resolution; the half-line driver arranges its substitutions so that every
-singular endpoint lands there.
+resolution, so a caller maps a singular endpoint there, and a half-line
+onto a finite interval, as :func:`khab.transition.bridge_integral` does.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ _WG = (
 )
 
 _EPS = math.ulp(1.0)
-_MAX_PANELS = 20000  # panel budget of one finite-interval integral
+_MAX_PANELS = 20000  # panel budget of one integral
 
 
 class QuadResult(Value):
@@ -208,43 +208,3 @@ def integrate(
 
     return totals()
 
-
-def integrate_halfline(
-    f: Callable[[float], float], a: float, tol: float
-) -> QuadResult:
-    """Integrate ``f`` over (a, inf) for integrands with algebraic decay.
-
-    The caller guarantees decay at least ``t**(-1-delta)`` for some
-    ``delta > 0``; slower decay shows up as budget exhaustion, or as a
-    refused panel once the panels reach t beyond the float range.  The
-    substitution u = (t-a)/(1+t-a) maps the half-line onto the unit
-    interval with Jacobian 1/(1-u)^2; it is applied in the mirrored
-    coordinate v = 1-u so the tail endpoint sits at v = 0, keeping panels
-    near it resolvable.  For a = 0 the range splits at t = 1 so that a
-    possible singularity of ``f`` at 0 also sits at a zero coordinate.
-    """
-    if not math.isfinite(a) or a < 0:
-        raise ValueError("integrate_halfline requires finite a >= 0")
-    _check_tol(tol)
-
-    def tail_from(start: float, tail_tol: float) -> QuadResult:
-        def g(v: float) -> float:
-            t = start - 1.0 + 1.0 / v
-            if math.isinf(t):
-                # beyond double range g cannot be represented; NaN makes
-                # integrate refuse the panel
-                return math.nan
-            # divide twice: v*v can underflow where f(t)/v/v cannot
-            return f(t) / v / v
-
-        return integrate(g, 0.0, 1.0, tail_tol)
-
-    if a == 0.0:
-        head = integrate(f, 0.0, 1.0, 0.5 * tol)
-        tail = tail_from(1.0, 0.5 * tol)
-        return QuadResult(
-            head.value + tail.value,
-            head.abs_error_estimate + tail.abs_error_estimate,
-            head.subdivisions + tail.subdivisions,
-        )
-    return tail_from(a, tol)

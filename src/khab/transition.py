@@ -27,9 +27,12 @@ from __future__ import annotations
 import math
 
 from ._value import Value
+from .kernel import kernel_eval
 from .poly import Polynomial, positive_roots
+from .quad import QuadResult, _check_tol, integrate
 
 MAX_ORDER = 170  # conjecture levels n <= 171
+_HEAD_ONLY = 60.0 * math.log(2.0)  # ln(t/y) beyond which y/t < 2^-60
 
 
 class Params(Value):
@@ -152,6 +155,14 @@ def transition_for(params: Params) -> TransitionFunction:
     return build_transition(params.n - 1, params.alpha)
 
 
+def _p_horner(tf: TransitionFunction, x: float, below: bool) -> float:
+    """P(x) where ``below``, else the reversed x^order * P(1/x), by Horner."""
+    poly = 0.0
+    for c in reversed(tf.p_poly.coeffs) if below else tf.p_poly.coeffs:
+        poly = poly * x + c
+    return poly
+
+
 def transition_eval(tf: TransitionFunction, t: float) -> float:
     """Evaluate (4*alpha^2/t) * z * P(z) / (1+z)^(order+2) at z = t^(2*alpha).
 
@@ -167,20 +178,51 @@ def transition_eval(tf: TransitionFunction, t: float) -> float:
     alpha = tf.alpha
     scale = 4.0 * alpha * alpha / t
     two_alpha = 2.0 * alpha
-    if t <= 1.0:
-        x = t**two_alpha
-        poly = tf.p_poly(x)
-    else:
-        x = t**-two_alpha
-        poly = 0.0
-        for c in tf.p_poly.coeffs:  # Horner for the reversed polynomial
-            poly = poly * x + c
+    below = t <= 1.0
+    x = t**two_alpha if below else t**-two_alpha
+    poly = _p_horner(tf, x, below)
     sx = scale * x if scale != math.inf else 4.0 * alpha * (alpha * (x / t))
     value = sx * poly / (1.0 + x) ** tf.exponent
     if not math.isfinite(value):
         raise ValueError(f"Phi_{tf.order}(alpha={alpha!r}) at t = {t!r} "
                          "is not a finite float")
     return value
+
+
+def bridge_integral(tf: TransitionFunction, y: float, tol: float) -> QuadResult:
+    """Integral of Phi_m(alpha, t) * A_m(y/t) over t in (y, inf), m the
+    order, to absolute ``tol``: by the bridge identity, ln(1 + y^(-2*alpha)).
+
+    In theta = arctan(t^alpha), as in :mod:`khab.constants`, the range is
+    (theta_y, pi/2), with Phi's mass near pi/4 at every alpha, and
+    Phi dt = 4*alpha * sin(theta) cos^(2m+1)(theta) P(tan^2 theta) dtheta,
+    or 4*alpha * sin^(2m+1)(theta) cos(theta) x^m P(1/x) dtheta at
+    x = cot^2 theta above pi/4; no t is formed.  ln(t/y) is
+    ln(tan theta)/alpha - ln y, and where y/t < 2^-60, A_m = ln(t/y) - H_m,
+    as :func:`kernel_eval`'s head form, also where y/t underflows.  A
+    theta_y that rounds to pi/2 leaves 0, with an estimate of 0.
+    """
+    _check_tol(tol)
+    alpha, m = tf.alpha, tf.order
+    log_y = math.log(y)
+    a_log_y = alpha * log_y
+    lo = (math.atan(math.exp(a_log_y)) if a_log_y <= 0.0
+          else math.pi / 2 - math.atan(math.exp(-a_log_y)))
+    if lo >= math.pi / 2:
+        return QuadResult(0.0, 0.0, 0)
+    harmonic = math.fsum(1.0 / k for k in range(1, m + 1))
+
+    def integrand(theta: float) -> float:
+        sin, cos = math.sin(theta), math.cos(theta)
+        log_ratio = (math.log(sin) - math.log(cos)) / alpha - log_y
+        kernel = (log_ratio - harmonic if log_ratio > _HEAD_ONLY
+                  else kernel_eval(m, math.exp(-max(log_ratio, 0.0))))
+        below = theta <= math.pi / 4
+        a, b = (sin, cos) if below else (cos, sin)
+        weight = a * b ** (2 * m + 1) * _p_horner(tf, (a / b) ** 2, below)
+        return 4.0 * alpha * weight * kernel
+
+    return integrate(integrand, lo, math.pi / 2, tol)
 
 
 def sign_partition(tf: TransitionFunction) -> SignPartition:

@@ -6,7 +6,11 @@ high-precision arithmetic, and the exact numerators run a polynomial
 recurrence in sympy or on integers, so neither shares a code path with the
 package's closed form.  Likewise the kernel weight is an mpmath quadrature of its
 defining integral, and the counterexample's r(t) a sympy expansion.
+:func:`integrate_psi` is no oracle: it maps a half-line integral onto a
+finite interval for the package's own quadrature.
 """
+
+import math
 
 import mpmath as mp
 
@@ -54,6 +58,19 @@ def transition_fd(t, alpha, order, dps=60):
         d1 = -(bracket(tt + h) - bracket(tt - h)) / (2 * h)
         d2 = -(bracket(tt + h / 2) - bracket(tt - h / 2)) / h
         return float((4 * d2 - d1) / 3)
+
+
+def integrate_psi(f, alpha, a, tol):
+    """Integral of f over t in (a, inf) by :func:`khab.quad.integrate` in
+    psi = arctan(t^(-alpha)) on (0, psi_a), the end t -> inf at psi = 0,
+    where dt = -t / (alpha sin(psi) cos(psi)) dpsi."""
+    from khab.quad import integrate
+
+    def g(psi):
+        t = math.tan(psi) ** (-1.0 / alpha)
+        return f(t) * t / (alpha * math.sin(psi) * math.cos(psi))
+
+    return integrate(g, 0.0, math.atan(a**-alpha) if a > 0 else math.pi / 2, tol)
 
 
 def log_grid(lo, hi, n):
@@ -246,8 +263,9 @@ def constants_exact_mp(n, alpha, dps=40):
     rational value of ``alpha``, its positive roots from sympy's exact real
     root isolation refined to 1e-30, and each sign interval is one
     ``mp.quad`` of the trigonometric polynomial
-    4a sum_k p_k sin^(2k+2) cos^(2(n-1-k)) in theta = arctan(sqrt(z)).  It
-    uses no float coefficient, root or matrix of the package.
+    sum_k p_k sin^(2k+2) cos^(2(n-1-k)) in theta = arctan(sqrt(z)), times
+    4a outside it, so that a tiny C keeps its relative accuracy.  It uses
+    no float coefficient, root or matrix of the package.
     """
     import sympy as sp
 
@@ -265,9 +283,9 @@ def constants_exact_mp(n, alpha, dps=40):
         coeffs = [to_mp(c) for c in poly.all_coeffs()[::-1]]
         am = to_mp(a)
 
-        def integrand(theta):
+        def integrand(theta):  # over 4a: mp.quad's error target is absolute
             s, c = mp.sin(theta), mp.cos(theta)
-            return 4 * am * sum(
+            return sum(
                 pk * s ** (2 * k + 2) * c ** (2 * (n - 1 - k))
                 for k, pk in enumerate(coeffs)
             )
@@ -277,7 +295,7 @@ def constants_exact_mp(n, alpha, dps=40):
         c_upper = mp.mpf(0)
         m_minus = mp.mpf(0)
         for lo, hi in zip(edges, edges[1:]):
-            val = mp.quad(integrand, [lo, hi])
+            val = 4 * am * mp.quad(integrand, [lo, hi])
             if val >= 0:
                 c_upper += val
             else:

@@ -22,11 +22,10 @@ from khab.counterexample import (
     build_g,
     build_q,
 )
-from khab.kernel import kernel_eval
 from khab.poly import positive_roots
-from khab.quad import integrate_halfline
 from khab.transition import (
     Params,
+    bridge_integral,
     build_transition,
     phi_derivative_poly,
     sign_partition,
@@ -34,7 +33,7 @@ from khab.transition import (
     transition_for,
 )
 
-from _oracles import log_grid, phi_derivative_fd
+from _oracles import integrate_psi, log_grid, phi_derivative_fd
 
 SIX_PI = 6.0 * math.pi
 
@@ -64,9 +63,7 @@ def test_criterion_01_correction_constant(capsys):
 def test_criterion_02_closed_form_total():
     with criterion(2, "total transition integral equals 6*pi to 1e-8"):
         tf = build_transition(1, 2.0)
-        res = integrate_halfline(
-            lambda t: transition_eval(tf, t) * t * t, 0.0, 1e-10
-        )
+        res = integrate_psi(lambda t: transition_eval(tf, t) * t * t, 2.0, 0.0, 1e-10)
         assert abs(res.value - SIX_PI) <= 1e-8
         assert abs(SIX_PI - 18.84955592153876) < 1e-8
 
@@ -86,9 +83,10 @@ def test_criterion_04_bound_chain():
     with criterion(4, "lhs(eps=1) ~ 18.86255035 <= C(2,2) and 6*pi <= C(2,2)"):
         rep = compute_constants(Params(2, 2.0), 1e-9)
         q = build_q(CounterexampleSpec(1.0))
-        lhs = integrate_halfline(
+        lhs = integrate_psi(
             lambda t: q(t) * math.log1p(t**-4.0) if t >= 1.0
             else q(t) * (-4.0 * math.log(t) + math.log1p(t**4.0)),
+            2.0,
             0.0,
             1e-9,
         )
@@ -118,12 +116,7 @@ def test_criterion_06_bridge_identity():
             for alpha in (0.5, 1.0, 2.0):
                 tf = build_transition(n - 1, alpha)
                 for y in (0.25, 0.5, 1.0, 2.0, 4.0):
-                    res = integrate_halfline(
-                        lambda t: transition_eval(tf, t)
-                        * kernel_eval(n - 1, y / t),
-                        y,
-                        1e-10,
-                    )
+                    res = bridge_integral(tf, y, 1e-10)
                     if y >= 1.0:
                         target = math.log1p(y ** (-2.0 * alpha))
                     else:

@@ -9,6 +9,8 @@ import pytest
 import khab
 from khab.cli import _build_parser, _emit_json, main
 from khab.counterexample import CounterexampleSpec, verify
+from khab.quad import QuadResult
+from khab.transition import bridge_integral, build_transition
 
 T0 = 0.6**0.25
 
@@ -146,18 +148,17 @@ class TestOutOfRange:
         ["constants", "--n", "2", "--alpha", "2e154"],
         ["constants", "--n", "2", "--alpha", "1e300"],
         ["constants", "--n", "1", "--alpha", "1e308"],
-        # a residual far beyond the quadrature's estimate: once -ln 2,
-        # -831.8 and -ln 2 with exit 0
-        ["identity", "--n", "1", "--alpha", "1e-6", "--y", "1"],
+        ["identity", "--n", "172"],
+        # once -831.8 at y = 0.25 with exit 0; the panel budget runs out there
         ["identity", "--n", "2", "--alpha", "300"],
-        ["identity", "--n", "1", "--alpha", "3e4", "--y", "1"],
+        ["identity", "--n", "3", "--alpha", "1e300"],
     ])
     def test_exits_one_without_traceback(self, argv):
         done = subprocess.run([sys.executable, "-m", "khab.cli", *argv],
                               env=child_env(), capture_output=True, text=True,
                               timeout=5)
         assert done.returncode == 1
-        assert done.stderr.startswith("error:")
+        assert done.stderr.startswith(("error: ", "quadrature failure: "))
         assert len(done.stderr.splitlines()) == 1
         assert "Traceback" not in done.stderr
         assert done.stdout == ""
@@ -250,10 +251,11 @@ class TestCounterexampleCommand:
 
 class TestVerificationFailureExit:
     def test_uncertifiable_violation_exits_one(self, capsys):
-        # coarse tolerance swamps the tiny excess (1.3e-8 against an lhs
-        # error of 4e-7), so nothing is certified
+        # coarse tolerance swamps the tiny excess (1.3e-9 against an lhs
+        # error of 6.9e-9), so nothing is certified; eps = 1e-6 (1.3e-8) is
+        # certified since the lhs takes its part beyond t0 in closed form
         code, out, _ = run(
-            capsys, ["counterexample", "--epsilon", "1e-6", "--tol", "1e-3"]
+            capsys, ["counterexample", "--epsilon", "1e-7", "--tol", "1e-3"]
         )
         assert code == 1
         assert "no violation detected" in out
@@ -272,16 +274,15 @@ class TestVerificationFailureExit:
         assert "quadrature failure" in err
 
     @pytest.mark.parametrize("alpha", ["1e-5", "0.01", "0.015"])
-    def test_mass_beyond_float_range_exits_one(self, capsys, alpha):
-        # the integrand's mass lies near t = DBL_MAX and beyond, where the
-        # half-line map cannot represent it
-        code, out, err = run(
-            capsys, ["identity", "--n", "1", "--alpha", alpha, "--y", "1"]
-        )
-        assert code == 1
-        assert out == ""
-        assert err.count("\n") == 1
-        assert err.startswith("quadrature failure: ")
+    def test_mass_beyond_float_range_is_integrated(self, capsys, alpha):
+        # the integrand's mass lies near t = DBL_MAX and beyond, where a
+        # half-line map in t once refused a panel; in theta it sits near pi/4
+        code, out, _ = run(capsys, ["identity", "--n", "1", "--alpha", alpha,
+                                    "--y", "1", "--format", "json"])
+        assert code == 0
+        residual = json.loads(out)["rows"][0]["residual"]
+        est = bridge_integral(build_transition(0, float(alpha)), 1.0, 1e-9)
+        assert abs(residual) <= est.abs_error_estimate
 
     def test_counterexample_stage_failure_is_not_a_verdict(self, capsys):
         # the tolerance cannot be met: verify raises at the first stage that
@@ -347,11 +348,64 @@ class TestIdentityCommand:
         assert code == 0
         assert max(abs(row["residual"]) for row in json.loads(out)["rows"]) <= 1e-9
 
-    def test_gross_residual_names_y_residual_and_estimate(self, capsys):
-        code, out, err = run(capsys, ["identity", "--n", "2", "--alpha", "300"])
+    def test_gross_residual_names_y_residual_and_estimate(self, capsys, monkeypatch):
+        # no input is known to trip the refusal in theta, so the integral is
+        # replaced by one 1e-3 off with an estimate of 1e-10
+        import khab.cli as cli
+
+        def gross(tf, y, tol):
+            return QuadResult(bridge_integral(tf, y, tol).value + 1e-3, 1e-10, 1)
+
+        monkeypatch.setattr(cli, "bridge_integral", gross)
+        code, out, err = run(capsys, ["identity", "--n", "2", "--alpha", "3"])
         assert code == 1 and out == ""
-        assert err.startswith("error: identity at y = 0.25: residual -8.318e+02 ")
-        assert "quadrature error estimate" in err
+        assert err.startswith("error: identity at y = 0.25: residual 1.000e-03 ")
+        assert "quadrature error estimate 1.000e-10" in err
+
+    @pytest.mark.parametrize("alpha", ["1e-6", "3e4"])
+    def test_extreme_alpha_within_tol(self, capsys, alpha):
+        # once -ln 2 and 4.8e-107 against ln 2, in one accepted panel
+        code, out, _ = run(capsys, ["identity", "--n", "1", "--alpha", alpha,
+                                    "--y", "1", "--format", "json"])
+        assert code == 0
+        assert abs(json.loads(out)["rows"][0]["residual"]) <= 1e-9
+
+    # 63 cases over alpha from 1e-6 to 3e4: 27 exited 0 in a half-line map
+    # in t; in theta all but four exit 0 within the gate, and those four run
+    # out of panels
+    _BUDGET = {(3, "300", "0.5"), (8, "300", "0.5"), (3, "3e4", "0.5"), (8, "3e4", "0.5")}
+
+    @pytest.mark.parametrize("alpha", ["1e-6", "1e-3", "0.01", "0.3", "3", "300", "3e4"])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_wide_alpha_grid(self, capsys, n, alpha):
+        for y in ("0.5", "1", "4"):
+            code, out, err = run(capsys, ["identity", "--n", str(n), "--alpha", alpha,
+                                          "--y", y, "--format", "json"])
+            if (n, alpha, y) in self._BUDGET:
+                assert code == 1 and out == ""
+                assert err.count("\n") == 1
+                assert err.startswith("quadrature failure: panel budget")
+                continue
+            assert code == 0, err
+            row = json.loads(out)["rows"][0]
+            assert abs(row["residual"]) <= 1e-10 * max(1.0, abs(row["target"]))
+
+    @pytest.mark.parametrize("y", ["0.25", "0.5", "1", "2", "4"])
+    def test_few_panels_at_small_alpha(self, capsys, monkeypatch, y):
+        # a half-line map in t once took 113 GK15 panels per y here
+        import khab.quad as quad
+
+        calls = []
+        gk15 = quad._gk15
+
+        def counting(f, a, b):
+            calls.append((a, b))
+            return gk15(f, a, b)
+
+        monkeypatch.setattr(quad, "_gk15", counting)
+        code, _, _ = run(capsys, ["identity", "--n", "1", "--alpha", "0.3", "--y", y])
+        assert code == 0
+        assert len(calls) < 80
 
     @pytest.mark.parametrize("y", ["inf", "nan"])
     def test_y_not_finite_is_usage_error(self, capsys, y):

@@ -14,6 +14,7 @@ from _oracles import (
     constants_exact_mp,
     constants_mp,
     cos_matrix_comb_sums,
+    integrate_psi,
     transition_numerator_exact,
 )
 from khab.constants import (
@@ -23,7 +24,6 @@ from khab.constants import (
     compute_constants,
 )
 from khab.counterexample import CounterexampleSpec, lhs_integral
-from khab.quad import integrate_halfline
 from khab.transition import (
     Params,
     TransitionFunction,
@@ -205,6 +205,10 @@ class TestClosedForm:
     @pytest.mark.parametrize("n, alpha, oracle", [
         (25, 2.7214971599723423, constants_exact_mp),  # once 1.0e-12 off
         (112, 1.0, constants_cosine_mp),  # once 5.5e-10 off, two roots lost
+        # the oracle's mp.quad once stopped early at a tiny C: 27.6 and 11.0
+        # times C's rounding bound off, now 0.096 and 0.038
+        (2, 1e-300, constants_exact_mp),
+        (5, 1e-300, constants_exact_mp),
     ])
     def test_within_a_few_ulps_of_the_exact_numerator(self, n, alpha, oracle):
         rep = compute_constants(Params(n, alpha), 1e-9)
@@ -380,11 +384,7 @@ class TestTailDecay:
         # algebraic decay makes the constant finite: the tail beyond 1e5
         # contributes under 1e-8 for the headline pair
         tf = build_transition(1, 2.0)
-        tail = integrate_halfline(
-            lambda t: transition_eval(tf, t) * t * t, 1e5, 1e-12
-        )
+        tail = integrate_psi(lambda t: transition_eval(tf, t) * t * t, 2.0, 1e5, 1e-12)
         assert abs(tail.value) < 1e-8
-        tail4 = integrate_halfline(
-            lambda t: transition_eval(tf, t) * t * t, 1e4, 1e-12
-        )
+        tail4 = integrate_psi(lambda t: transition_eval(tf, t) * t * t, 2.0, 1e4, 1e-12)
         assert abs(tail4.value) < 1e-6

